@@ -7,11 +7,11 @@ contention-free updates; owner-computes pre-buckets non-zeros by disjoint
 output-row ranges so no synchronization is needed at all (and results are
 bit-identical to the sequential kernel).  Contention depends on the
 tensor: power-law tensors hammer hub rows, Kronecker tensors spread more
-evenly.  The threaded ``atomic`` path is additionally ablated over its
-privatization strategy: per-thread arenas vs the per-chunk buffers the
-seed implementation used (see ``bench_hotpaths.py`` for the tracked
-comparison).
+evenly.  The threaded ``atomic`` path accumulates into per-thread arenas
+(see ``bench_hotpaths.py`` for the tracked per-tier timings).
 """
+
+import os
 
 import pytest
 
@@ -41,15 +41,13 @@ def test_mttkrp_method_kronecker(benchmark, bench_kron_tensor, method):
     assert out.shape[0] == bench_kron_tensor.shape[0]
 
 
-@pytest.mark.parametrize("privatize", ["arena", "chunk"])
-def test_mttkrp_privatization(benchmark, bench_tensor, bench_mats, privatize):
-    """Per-thread arenas vs the seed's per-chunk buffers (dynamic schedule)."""
-    be = OpenMPBackend(nthreads=4)
+def test_mttkrp_threaded_atomic(benchmark, bench_tensor, bench_mats):
+    """The per-thread-arena atomic path under a dynamic schedule."""
+    be = OpenMPBackend(nthreads=os.cpu_count() or 1)
     try:
         out = benchmark(
             lambda: coo_mttkrp(
-                bench_tensor, bench_mats, 0, backend=be,
-                schedule="dynamic", privatize=privatize,
+                bench_tensor, bench_mats, 0, backend=be, schedule="dynamic",
             )
         )
         assert out.shape == (bench_tensor.shape[0], 16)

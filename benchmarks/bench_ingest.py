@@ -1,8 +1,8 @@
 """Streaming-ingestion benchmarks (the FireHose-style live scenario).
 
 Times the end-to-end ingestion bench (:mod:`repro.ingest`) at varying
-worker counts, ablates exact vs subtract window eviction and incremental
-vs from-scratch re-blocking, and checks the concurrency knobs don't
+worker counts, the sliding window's exact eviction, and incremental vs
+from-scratch re-blocking, and checks the concurrency knobs don't
 change the answer (the final window is bit-identical across them).
 """
 
@@ -58,9 +58,8 @@ def test_ingest_with_queries(benchmark):
     benchmark.extra_info["queries"] = result.queries
 
 
-@pytest.mark.parametrize("eviction", ["exact", "subtract"])
-def test_window_eviction_ablation(benchmark, eviction):
-    """Cost of the bit-exact rebuild vs the lossy subtract fast path."""
+def test_window_eviction(benchmark):
+    """Cost of the bit-exact window rebuild over a power-law stream."""
     from repro.generate import powerlaw_stream
 
     batches = list(
@@ -68,7 +67,7 @@ def test_window_eviction_ablation(benchmark, eviction):
     )
 
     def run():
-        w = SlidingWindowTensor(SHAPE, WINDOW, eviction=eviction)
+        w = SlidingWindowTensor(SHAPE, WINDOW)
         for coords, values in batches:
             w.push(coords, values)
         return w

@@ -1,12 +1,15 @@
-"""Statistical perf-regression sentinel over run stores and bench files.
+"""Statistical perf-regression sentinel over run stores.
 
-``BENCH_*.json`` files and run-store journals record what the suite *did*
-measure; nothing so far said whether a new measurement is *worse*.  This
-module is that gate: it pairs two measurement sources case-for-case,
-summarizes each (kernel, fmt, method) group by the **geometric mean of
-the per-case time ratios** (B over A, >1 means B is slower), brackets
-that geomean with a seeded **bootstrap confidence interval**
-(:func:`repro.metrics.stats.geomean_ratio_ci`), and classifies:
+Run-store journals (:mod:`repro.bench.runstore`) are the suite's one
+measurement record: sweeps, the serving daemon, the ingestion bench and
+the hot-path harness (``benchmarks/bench_hotpaths.py``) all journal
+:class:`~repro.metrics.perf.PerfRecord` lines.  This module says whether
+a new measurement is *worse*: it pairs two stores line-for-line by case
+``fingerprint``, summarizes each (kernel, fmt, method) group by the
+**geometric mean of the per-case time ratios** (B over A, >1 means B is
+slower), brackets that geomean with a seeded **bootstrap confidence
+interval** (:func:`repro.metrics.stats.geomean_ratio_ci`), and
+classifies:
 
 * ``regressed``  — the whole CI sits above the threshold (confidently
   slower; the CLI exits nonzero);
@@ -15,21 +18,19 @@ that geomean with a seeded **bootstrap confidence interval**
 * ``insufficient-data`` — fewer matched pairs than ``min_pairs``, or no
   usable ratios; never gates.
 
-Sources may be run-store JSONL journals (:mod:`repro.bench.runstore`) or
-bench-harness JSON files (``benchmarks/bench_hotpaths.py`` output, e.g.
-the committed ``BENCH_kernels.json``); the two kinds are sniffed, so
-``repro regress store.jsonl BENCH_kernels.json`` compares a sweep
-against the committed baseline.
+Two sweep stores therefore pair only on identical cases.  The hot-path
+harness computes its cell fingerprints without the execution tier, so
+its per-tier stores (``BENCH_kernels.numpy.jsonl`` vs
+``BENCH_kernels.compiled.jsonl``) pair cell for cell.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.bench.runstore import RunStore
+from repro.bench.runstore import RunStore, StoreError
 from repro.metrics.perf import PerfRecord
 from repro.metrics.stats import BootstrapCI, geomean_ratio_ci
 
@@ -37,12 +38,6 @@ REGRESSED = "regressed"
 IMPROVED = "improved"
 NEUTRAL = "neutral"
 INSUFFICIENT = "insufficient-data"
-
-#: Bench-harness entry keys that are measurements, not identity tags.
-_BENCH_VALUE_KEYS = {
-    "median_s", "min_s", "reps", "compile_s",
-    "imbalance", "busy_frac", "eff_bw_gbs", "bound_fraction",
-}
 
 
 class RegressError(ValueError):
@@ -53,79 +48,39 @@ class RegressError(ValueError):
 class Measurement:
     """One comparable timing: who it is, which group it gates, seconds."""
 
-    identity: tuple
+    identity: str
     group: tuple
     value: float
 
 
-def _store_measurements(path: str) -> list:
+def load_measurements(path: str) -> list:
     """Measurements out of a run-store journal.
 
-    Identity is the sweep cell (tensor, kernel, fmt, platform); the time
-    is the measured host wall-clock when the case recorded one, else the
-    modeled platform time (deterministic, so self-comparison is exact).
-    """
-    state = RunStore(path).load()
-    out = []
-    for line in state.records.values():
-        rec = PerfRecord.from_dict(line["record"])
-        value = rec.host_seconds if rec.host_seconds > 0 else rec.seconds
-        method = rec.extra.get("method", "")
-        out.append(
-            Measurement(
-                identity=(rec.tensor, rec.kernel, rec.fmt, rec.platform),
-                group=(rec.kernel, rec.fmt, str(method)),
-                value=float(value),
-            )
-        )
-    return out
-
-
-def _bench_measurements(path: str, data: dict) -> list:
-    """Measurements out of a bench-harness JSON (``BENCH_*.json``)."""
-    out = []
-    for entry in data.get("results", []):
-        tags = {
-            str(k): entry[k] for k in entry if k not in _BENCH_VALUE_KEYS
-        }
-        value = entry.get("median_s")
-        if value is None:
-            continue
-        out.append(
-            Measurement(
-                identity=tuple(sorted((k, str(v)) for k, v in tags.items())),
-                group=(
-                    str(entry.get("kernel", "")),
-                    str(entry.get("format", entry.get("fmt", ""))),
-                    str(entry.get("method", "")),
-                ),
-                value=float(value),
-            )
-        )
-    return out
-
-
-def load_measurements(path: str) -> list:
-    """Load a measurement source, sniffing run-store vs bench JSON.
-
-    A file that parses as one JSON object with a ``results`` list is a
-    bench-harness file; anything else (JSONL, or a single journal line)
-    is read as a run store.
+    Identity is the line's case fingerprint; the time is the measured
+    host wall-clock when the record carries one, else the modeled
+    platform time (deterministic, so self-comparison is exact).  A file
+    that is not a readable run store raises :class:`RegressError`.
     """
     if not os.path.exists(path):
-        raise RegressError(f"no such measurement source: {path}")
-    with open(path) as f:
-        text = f.read()
+        raise RegressError(f"no such run store: {path}")
+    out = []
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError:
-        data = None
-    if isinstance(data, dict) and "results" in data:
-        return _bench_measurements(path, data)
-    measurements = _store_measurements(path)
-    if not measurements:
-        raise RegressError(f"{path}: no measurements (empty or wrong format)")
-    return measurements
+        state = RunStore(path).load()
+        for fp, line in state.records.items():
+            rec = PerfRecord.from_dict(line["record"])
+            value = rec.host_seconds if rec.host_seconds > 0 else rec.seconds
+            out.append(
+                Measurement(
+                    identity=fp,
+                    group=(rec.kernel, rec.fmt, str(rec.extra.get("method", ""))),
+                    value=float(value),
+                )
+            )
+    except (StoreError, OSError, KeyError, TypeError, ValueError) as exc:
+        raise RegressError(f"{path}: not a readable run store ({exc})") from None
+    if not out:
+        raise RegressError(f"{path}: no measurements (empty or not a run store)")
+    return out
 
 
 @dataclass(frozen=True)
@@ -311,7 +266,7 @@ def compare_paths(
     b_path: str,
     **kwargs,
 ) -> RegressionReport:
-    """Load and compare two measurement sources (stores or bench JSON)."""
+    """Load and compare two run stores."""
     kwargs.setdefault("a_label", a_path)
     kwargs.setdefault("b_label", b_path)
     return compare_measurements(

@@ -40,6 +40,7 @@ from repro.kernels import (
     hicoo_ttv,
 )
 from repro.bench.cpumodel import modeled_cpu_time
+from repro.compiled import resolve_tier
 from repro.gpu.device import DeviceSpec
 from repro.gpu.kernels import (
     gpu_coo_mttkrp,
@@ -63,6 +64,16 @@ from repro.util.prng import rng_from_seed
 from repro.util.timing import time_call
 
 ALL_KERNELS = (Kernel.TEW, Kernel.TS, Kernel.TTV, Kernel.TTM, Kernel.MTTKRP)
+
+#: The method each kernel's default host-timed call resolves its execution
+#: tier under (Mttkrp runs its default update method, ``"atomic"``).
+_TIER_METHOD = {
+    Kernel.TEW: "elementwise",
+    Kernel.TS: "elementwise",
+    Kernel.TTV: "fiber",
+    Kernel.TTM: "fiber",
+    Kernel.MTTKRP: "atomic",
+}
 BENCH_FORMATS = (Format.COO, Format.HICOO)
 
 #: ``"kernel:seconds,kernel:seconds"`` — injects a per-call sleep into the
@@ -416,11 +427,10 @@ class SuiteRunner:
                         "atomic_s": timing.atomic_s,
                         "cache_resident": timing.cache_resident,
                     }
-                    host_seconds = (
-                        self._host_time(bundle, kernel, fmt)
-                        if self.config.measure_host
-                        else 0.0
-                    )
+                    host_seconds = 0.0
+                    if self.config.measure_host:
+                        host_seconds = self._host_time(bundle, kernel, fmt)
+                        extra.update(self._host_tags(bundle, kernel, fmt))
         finally:
             if tracer is not None:
                 tracer.uninstall()
@@ -450,6 +460,21 @@ class SuiteRunner:
         )
 
     # ------------------------------------------------------------------ #
+    def _host_tags(self, bundle: TensorBundle, kernel: Kernel, fmt: Format) -> dict:
+        """What :meth:`_host_time` timed: the resolved execution tier, and
+        for Mttkrp the (default) update method."""
+        method = _TIER_METHOD[kernel]
+        r = self.config.rank if kernel in (Kernel.TTM, Kernel.MTTKRP) else 1
+        tags = {
+            "tier": resolve_tier(
+                None, backend=self.backend, kernel=kernel.value, fmt=fmt.value,
+                method=method, nnz=bundle.coo.nnz, r=r,
+            )
+        }
+        if kernel is Kernel.MTTKRP:
+            tags["method"] = method
+        return tags
+
     def _host_time(self, bundle: TensorBundle, kernel: Kernel, fmt: Format) -> float:
         """Measured wall-clock of the NumPy kernel on this machine.
 

@@ -19,9 +19,9 @@ Subcommands
                 tables (GFLOPS ranges, bound-fraction distributions,
                 HiCOO-vs-COO ratios) as text, markdown, or JSON.
 ``regress``   — statistical perf-regression sentinel: compare two run
-                stores (or a store vs a committed ``BENCH_*.json``) by
-                per-group geomean time ratios with bootstrap CIs; exits
-                nonzero on a confident regression.
+                stores case-for-case by fingerprint, per-group geomean
+                time ratios with bootstrap CIs; exits nonzero on a
+                confident regression.
 ``serve``     — benchmark-as-a-service daemon on a local socket: answers
                 ``sweep``/``report``/``regress``/``status`` requests
                 from many concurrent clients, cache hits served straight
@@ -717,7 +717,6 @@ def _cmd_ingest_bench(args) -> int:
         rank=args.rank,
         alpha=args.alpha,
         seed=args.seed,
-        eviction=args.eviction,
         block_size=args.block_size,
         worker_lifetime=args.worker_lifetime,
         platform=args.platform,
@@ -952,11 +951,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest.add_argument("--rank", type=int, default=8)
     p_ingest.add_argument("--alpha", type=float, default=2.0)
     p_ingest.add_argument("--seed", type=int, default=0)
-    p_ingest.add_argument(
-        "--eviction", choices=["exact", "subtract"], default="exact",
-        help="window eviction mode (exact = bit-exact structural rebuild; "
-        "subtract = historical lossy fast path)",
-    )
     p_ingest.add_argument("--block-size", type=int, default=32)
     p_ingest.add_argument(
         "--worker-lifetime", type=int, default=0,
@@ -985,7 +979,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest.add_argument(
         "--verify", action="store_true",
         help="check the final window against a serial replay "
-        "(bit-exact under exact eviction); exit 1 on divergence",
+        "(bit-exact); exit 1 on divergence",
     )
     p_ingest.add_argument("--trace", help="write a Chrome trace to PATH")
     p_ingest.add_argument(
@@ -1099,12 +1093,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_regress = sub.add_parser(
         "regress",
-        help="compare two measurement sources (run stores or BENCH_*.json) "
-        "per (kernel, fmt, method) group; exit nonzero on a confident "
-        "regression",
+        help="compare two run stores per (kernel, fmt, method) group; "
+        "exit nonzero on a confident regression",
     )
-    p_regress.add_argument("a", help="baseline source (run store or BENCH json)")
-    p_regress.add_argument("b", help="candidate source (run store or BENCH json)")
+    p_regress.add_argument("a", help="baseline run store (JSONL)")
+    p_regress.add_argument("b", help="candidate run store (JSONL)")
     p_regress.add_argument(
         "--threshold", type=float, default=1.05,
         help="geomean-ratio band edge: regressed if the CI sits wholly "

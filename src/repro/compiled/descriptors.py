@@ -68,7 +68,7 @@ class LoopNest:
         ``None`` for the contraction kernels (whose fused op is the
         multiply-accumulate implied by the gathers).
     workspace:
-        Whether the nest privatizes into
+        Whether the nest accumulates into private
         :class:`repro.parallel.workspace.WorkspacePool` arenas.
     notes:
         Free-text lowering notes surfaced by ``describe()``.

@@ -5,7 +5,7 @@ entry streams here.  The executor picks the execution *flavor* per call:
 
 * ``numba-*`` — the ``@njit`` lowering, used when Numba is importable,
   the tensor is third-order (Mttkrp), and every operand shares one JIT
-  dtype (float32/float64).  Variants: ``numba-nnz[+arena]`` (nnz-parallel
+  dtype (float32/float64).  Variants: ``numba-nnz+arena`` (nnz-parallel
   with per-thread slabs, arena-pooled), ``numba-owner``, ``numba-ew``.
 * ``fused-*`` — the single-dispatch NumPy fallback
   (:mod:`repro.compiled.fallback`), bit-compatible with the NumPy tier
@@ -52,7 +52,6 @@ def run_mttkrp(
     fmt: str,
     method: str,
     backend,
-    privatize: str = "arena",
     align: int = 1,
     tag=0,
 ) -> np.ndarray:
@@ -71,19 +70,13 @@ def run_mttkrp(
         (c1, u1), (c2, u2) = gathered
         if method == "atomic":
             nthr = nb.slab_threads(backend.nthreads)
-            if privatize == "arena":
-                # Workspace-arena variant: the (T, I, R) slab stack is a
-                # pooled backend workspace — zeroed reuse across calls.
-                with backend.workspace((nthr,) + out.shape, out.dtype) as pool:
-                    slab = pool.acquire()
-                    nb.mttkrp3_nnz(rows, c1, c2, values, u1, u2, slab)
-                    out += slab.sum(axis=0)
-                flavor = "numba-nnz+arena"
-            else:
-                slab = np.zeros((nthr,) + out.shape, dtype=out.dtype)
+            # The (T, I, R) slab stack is a pooled backend workspace —
+            # zeroed reuse across calls.
+            with backend.workspace((nthr,) + out.shape, out.dtype) as pool:
+                slab = pool.acquire()
                 nb.mttkrp3_nnz(rows, c1, c2, values, u1, u2, slab)
                 out += slab.sum(axis=0)
-                flavor = "numba-nnz"
+            flavor = "numba-nnz+arena"
         else:  # "owner"
             part = owner_plan(
                 x, rows, out.shape[0], backend.nthreads, align, tag

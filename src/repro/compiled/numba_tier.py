@@ -9,13 +9,11 @@ Lowering shape (prickle's SDDMM idiom from SNIPPETS.md: decompress to a
 flat COO entry stream so nnz-parallel loops need no load balancing):
 
 * **nnz-parallel atomic variant** — ``prange`` over non-zeros; each
-  iteration privatizes into the slab of its executing thread
+  iteration accumulates into the slab of its executing thread
   (``numba.get_thread_id()``), the paper's ``omp atomic`` loop realized
-  as bounded per-thread privatization.  With ``privatize="arena"`` the
-  slab stack is checked out of the backend's
-  :class:`~repro.parallel.workspace.WorkspacePool` cache (the
-  workspace-arena variant): zeroed reusable buffers, no per-call
-  allocation.
+  as bounded per-thread privatization.  The slab stack is checked out of
+  the backend's :class:`~repro.parallel.workspace.WorkspacePool` cache:
+  zeroed reusable buffers, no per-call allocation.
 * **owner-computes variant** — ``prange`` over the owner ranges of a
   cached :func:`repro.parallel.ownership.owner_partition`; each owner
   writes its disjoint row slice directly, accumulating linearly in stable
@@ -200,5 +198,5 @@ def elementwise(op: str, xv, yv, out, scalar: bool) -> None:
 
 
 def slab_threads(backend_nthreads: int) -> int:
-    """Thread/slab count for the privatized nnz-parallel variant."""
+    """Thread/slab count for the per-thread-slab nnz-parallel variant."""
     return _nthreads(int(backend_nthreads) if backend_nthreads else 0)

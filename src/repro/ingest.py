@@ -61,7 +61,7 @@ from repro.roofline import RooflineModel, get_platform
 from repro.roofline.oi import cost_for, extract_features
 from repro.sptensor.coo import COOTensor
 from repro.sptensor.hicoo import HiCOOTensor, _hicoo_sort_order
-from repro.stream import EVICTION_MODES, SlidingWindowTensor
+from repro.stream import SlidingWindowTensor
 from repro.types import EINDEX_DTYPE, index_dtype_for
 from repro.util.bits import is_pow2
 from repro.util.prng import rng_from_seed
@@ -101,7 +101,6 @@ class IngestConfig:
     #: Modes drawn uniformly (the paper's short dense modes).
     dense_modes: tuple = (-1,)
     seed: int = 0
-    eviction: str = "exact"
     block_size: int = 32
     #: Batches a worker ingests before retiring and spawning a fresh
     #: replacement thread (worker churn; 0 = stable workers).
@@ -120,10 +119,6 @@ class IngestConfig:
             raise IngestError("events and batch must be >= 1")
         if self.window < 1 or self.workers < 1 or self.queue_depth < 1:
             raise IngestError("window, workers and queue_depth must be >= 1")
-        if self.eviction not in EVICTION_MODES:
-            raise IngestError(
-                f"unknown eviction {self.eviction!r}; expected {EVICTION_MODES}"
-            )
         if not is_pow2(self.block_size) or not (1 <= self.block_size <= 256):
             raise IngestError(
                 f"block_size must be a power of two in [1, 256], "
@@ -151,7 +146,6 @@ class IngestConfig:
             "alpha": self.alpha,
             "dense_modes": list(self.dense_modes),
             "seed": self.seed,
-            "eviction": self.eviction,
             "block_size": self.block_size,
             "worker_lifetime": self.worker_lifetime,
             "platform": self.platform,
@@ -209,8 +203,7 @@ class _StoreCase:
 def reference_window_state(config: IngestConfig) -> COOTensor:
     """Serial replay of the stream's final window (the ground truth).
 
-    Bit-identical to the concurrent bench's final ``state`` under exact
-    eviction: both coalesce the concatenation of the last ``window``
+    Bit-identical to the concurrent bench's final ``state``: both coalesce the concatenation of the last ``window``
     generated batches in stream order.
     """
     live: list = []
@@ -381,7 +374,6 @@ class IngestResult:
             "reblock_cache_hits": self.reblock_cache_hits,
             "workers": self.config.workers,
             "window": self.config.window,
-            "eviction": self.config.eviction,
         }
 
     def as_dict(self) -> dict:
@@ -408,7 +400,7 @@ class IngestResult:
             f"{self.duration_s:.2f}s = {self.events_per_s / 1e3:.1f}k ev/s"
             + (" (cached)" if self.from_cache else ""),
             f"  batches {self.batches} of {cfg.batch} | window {cfg.window} "
-            f"({cfg.eviction} eviction) | evictions {self.evictions} | "
+            f"| evictions {self.evictions} | "
             f"final nnz {self.window_nnz}",
             f"  ingest latency p50 {ms(lat, 'p50')} p95 {ms(lat, 'p95')} "
             f"p99 {ms(lat, 'p99')}",
@@ -666,9 +658,7 @@ class IngestBench:
         cfg = self.config
         self._queue: queue.Queue = queue.Queue(maxsize=cfg.queue_depth)
         self._slots = SlotPool(cfg.workers)
-        self._window = SlidingWindowTensor(
-            cfg.shape, cfg.window, eviction=cfg.eviction
-        )
+        self._window = SlidingWindowTensor(cfg.shape, cfg.window)
         self._blocker = WindowBlocker(cfg.shape, cfg.block_size)
         self._apply_cond = threading.Condition()
         self._stats_lock = threading.Lock()
@@ -837,17 +827,13 @@ class IngestBench:
 def verify_window_state(result: IngestResult) -> "tuple[bool, str]":
     """Check the run's final window against a serial replay.
 
-    Bit-exact comparison (coordinates *and* float bit patterns) under
-    exact eviction; tolerance-based under the lossy ``subtract`` mode.
+    Bit-exact comparison (coordinates *and* float bit patterns).
     Returns ``(ok, detail)``.
     """
     if result.state is None:
         return True, "skipped (cache-served result carries no state)"
     want = reference_window_state(result.config)
     got = result.state
-    if result.config.eviction != "exact":
-        ok = got.allclose(want)
-        return ok, "tolerance comparison (subtract eviction is lossy)"
     if got.shape != want.shape:
         return False, f"shape {got.shape} != {want.shape}"
     if not np.array_equal(got.indices, want.indices):

@@ -55,12 +55,6 @@ from repro.util.validation import check_mode
 #: Update strategies shared by the COO and HiCOO kernels.
 MTTKRP_METHODS = ("atomic", "sort", "owner")
 
-#: Privatization strategies for the ``atomic`` method under a threaded
-#: backend.  ``"chunk"`` reproduces the seed's per-chunk buffers and is
-#: kept only as the baseline of the hot-path ablation harness.
-PRIVATIZE_MODES = ("arena", "chunk")
-
-
 def _check_matrices(shape, mats: Sequence[np.ndarray], mode: int) -> list:
     n = len(shape)
     if len(mats) != n:
@@ -92,14 +86,10 @@ def _check_matrices(shape, mats: Sequence[np.ndarray], mode: int) -> list:
     return out
 
 
-def _check_method(method: str, privatize: str) -> None:
+def _check_method(method: str) -> None:
     if method not in MTTKRP_METHODS:
         raise ValueError(
             f"unknown Mttkrp method {method!r}; expected one of {MTTKRP_METHODS}"
-        )
-    if privatize not in PRIVATIZE_MODES:
-        raise ValueError(
-            f"unknown privatization {privatize!r}; expected one of {PRIVATIZE_MODES}"
         )
 
 
@@ -147,17 +137,15 @@ def _scatter_add_parallel(
     backend: Backend,
     schedule: "Schedule | str",
     chunk: int | None,
-    privatize: str,
     entry_range,
 ) -> None:
-    """Run the privatized scatter-add loop for the ``atomic`` method.
+    """Run the per-thread-arena scatter-add loop for the ``atomic`` method.
 
     ``make_contrib(lo, hi)`` produces the contribution rows of the entry
     range ``[lo, hi)``; ``entry_range(blo, bhi)`` maps a loop-iteration
     range to an entry range (identity for COO, ``bptr`` lookup for HiCOO
-    blocks).  Threaded backends privatize into per-thread arenas (or the
-    seed's per-chunk buffers when ``privatize="chunk"``); the sequential
-    backend scatters straight into ``out``.
+    blocks).  Threaded backends accumulate into per-thread arenas; the
+    sequential backend scatters straight into ``out``.
     """
     threaded = backend.is_threaded
     if not threaded:
@@ -169,26 +157,6 @@ def _scatter_add_parallel(
 
         with backend.check_output(out, Access.ATOMIC):
             backend.parallel_for(total, body, schedule=schedule, chunk=chunk)
-        return
-
-    if privatize == "chunk":
-        # Seed baseline: one full-size private buffer per *chunk* — an
-        # unbounded O(nchunks) allocation + reduction pattern, kept only
-        # so the harness can measure what the arena pool saves.
-        partials: dict[tuple[int, int], np.ndarray] = {}
-
-        def body(blo: int, bhi: int) -> None:
-            lo, hi = entry_range(blo, bhi)
-            if hi <= lo:
-                return
-            local = np.zeros_like(out)
-            atomic_add_rows(local, rows[lo:hi], make_contrib(lo, hi))
-            partials[(lo, hi)] = local
-
-        with backend.check_output(out, Access.WORKSPACE):
-            backend.parallel_for(total, body, schedule=schedule, chunk=chunk)
-        for local in partials.values():
-            out += local
         return
 
     tracer = current_tracer()
@@ -207,8 +175,8 @@ def _scatter_add_parallel(
 
         with backend.check_output(out, Access.WORKSPACE):
             backend.parallel_for(total, body, schedule=schedule, chunk=chunk)
-        # The invariant the per-chunk scheme violated: private buffers
-        # are bounded by the thread count, never the chunk count.
+        # Private buffers are bounded by the thread count, never the
+        # chunk count.
         assert pool.narenas <= backend.nthreads
         pool.reduce_into(out)
 
@@ -251,7 +219,6 @@ def coo_mttkrp(
     backend: "Backend | str | None" = None,
     method: str = "atomic",
     schedule: "Schedule | str" = Schedule.STATIC,
-    privatize: str = "arena",
     tier: "str | None" = None,
 ) -> np.ndarray:
     """COO-Mttkrp parallelized by non-zeros (ParTI's algorithm).
@@ -266,10 +233,6 @@ def coo_mttkrp(
         paper's algorithm); ``"sort"`` — sort-by-output-row then segmented
         reduce; ``"owner"`` — owner-computes row partitioning, race-free
         with no privatization and bit-identical to the sequential kernel.
-    privatize:
-        Arena strategy for the threaded ``atomic`` method: ``"arena"``
-        (per-thread workspace pool, the default) or ``"chunk"`` (the seed's
-        per-chunk buffers, kept as the harness ablation baseline).
     tier:
         Execution tier: ``"numpy"`` (the chunked loops above),
         ``"compiled"`` (descriptor-lowered JIT/fused execution, see
@@ -280,7 +243,7 @@ def coo_mttkrp(
     """
     mode = check_mode(mode, x.nmodes)
     mats = _check_matrices(x.shape, mats, mode)
-    _check_method(method, privatize)
+    _check_method(method)
     backend = get_backend(backend)
     r = next(u.shape[1] for u in mats if u is not None)
     dtype = np.result_type(x.values, *[u for u in mats if u is not None])
@@ -297,7 +260,7 @@ def coo_mttkrp(
         tracer.count("kernel.flops", 3.0 * x.nnz * r)
         if method == "atomic":
             # The model charges the paper's algorithm: one scatter-add per
-            # (entry, rank column), whatever privatization executes it.
+            # (entry, rank column), whatever private buffers execute it.
             tracer.count("kernel.atomics_issued", float(x.nnz) * r)
     with tracer.span(
         "mttkrp", cat=CAT_KERNEL, fmt="coo", mode=mode, method=method,
@@ -312,8 +275,7 @@ def coo_mttkrp(
         if exec_tier == "compiled":
             return run_mttkrp(
                 x, rows, cols, x.values, mats, out,
-                fmt="coo", method=method, backend=backend,
-                privatize=privatize, tag=mode,
+                fmt="coo", method=method, backend=backend, tag=mode,
             )
 
         if method == "sort":
@@ -328,7 +290,7 @@ def coo_mttkrp(
             return _row_contributions(cols, x.values, mats, dtype, lo, hi)
 
         _scatter_add_parallel(
-            out, rows, make_contrib, x.nnz, backend, schedule, None, privatize,
+            out, rows, make_contrib, x.nnz, backend, schedule, None,
             entry_range=lambda lo, hi: (lo, hi),
         )
         return out
@@ -347,7 +309,6 @@ def hicoo_mttkrp(
     method: str = "atomic",
     schedule: "Schedule | str" = Schedule.DYNAMIC,
     blocks_per_chunk: int = 32,
-    privatize: str = "arena",
     tier: "str | None" = None,
 ) -> np.ndarray:
     """HiCOO-Mttkrp (paper Algorithm 2) parallelized by tensor *blocks*.
@@ -357,14 +318,14 @@ def hicoo_mttkrp(
     sliced output with 8-bit element indices — matrix rows are reused
     across the block, which is where HiCOO-Mttkrp's smaller memory traffic
     (Table 1) comes from.  Blocks may collide on output rows, so the
-    ``atomic`` method privatizes into per-thread arenas exactly like the
+    ``atomic`` method accumulates into per-thread arenas exactly like the
     COO path; ``method="owner"`` instead buckets entries by output-row
     ranges *aligned to block boundaries* (a block is never split between
     owners), making the update conflict-free with no privatization.
     """
     mode = check_mode(mode, x.nmodes)
     mats = _check_matrices(x.shape, mats, mode)
-    _check_method(method, privatize)
+    _check_method(method)
     backend = get_backend(backend)
     r = next(u.shape[1] for u in mats if u is not None)
     dtype = np.result_type(x.values, *[u for u in mats if u is not None])
@@ -397,7 +358,7 @@ def hicoo_mttkrp(
             return run_mttkrp(
                 x, rows, cols, x.values, mats, out,
                 fmt="hicoo", method=method, backend=backend,
-                privatize=privatize, align=x.block_size, tag=mode,
+                align=x.block_size, tag=mode,
             )
 
         if method == "sort":
@@ -416,7 +377,7 @@ def hicoo_mttkrp(
 
         _scatter_add_parallel(
             out, rows, make_contrib, x.nblocks, backend, schedule,
-            blocks_per_chunk, privatize,
+            blocks_per_chunk,
             entry_range=lambda blo, bhi: (int(x.bptr[blo]), int(x.bptr[bhi])),
         )
         return out

@@ -51,7 +51,7 @@ class Backend(abc.ABC):
     @property
     def is_threaded(self) -> bool:
         """Whether kernels should use their multi-worker update strategy
-        (privatized arenas etc.) under this backend.
+        (per-thread arenas etc.) under this backend.
 
         The race-check backend overrides this to ``True`` even though it
         executes chunks sequentially, so it replays — and checks — the

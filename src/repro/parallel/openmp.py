@@ -13,7 +13,7 @@ degrades gracefully to interleaved execution with identical results.
 
 Every chunk executes under a leased *worker slot*
 (:class:`~repro.parallel.slots.SlotPool`) — the ``omp_get_thread_num()``
-analogue that privatized state (``WorkspacePool`` arenas) keys itself on,
+analogue that thread-private state (``WorkspacePool`` arenas) keys itself on,
 so worker identity survives executor recycling and OS thread-ident reuse.
 
 Error semantics: a failing chunk causes ``parallel_for``/``map_ranges`` to

@@ -1,6 +1,6 @@
 """Race-check backend: a write-footprint sanitizer for parallel kernels.
 
-The suite's three scatter-update strategies (arena-privatized, owner-
+The suite's three scatter-update strategies (per-thread arenas, owner-
 computes, sort-reduce) are *race-free by construction* — but nothing in the
 executing backends can verify the construction.  :class:`RaceCheckBackend`
 does: it replays the exact chunk decomposition the OpenMP backend would run
@@ -137,7 +137,7 @@ class _Watch:
             return (
                 f"workspace contract violated: chunk {chunk} wrote the "
                 f"shared output {rep.shape} directly at {coords} "
-                f"({rep.overlaps} element(s) total); privatized loops must "
+                f"({rep.overlaps} element(s) total); arena-backed loops must "
                 "write only their WorkspacePool arena"
             )
         a, b, idx = rep.conflicts[0]
@@ -157,7 +157,7 @@ class RaceCheckBackend(Backend):
     Drop-in for any ``backend=`` kernel argument: results are exact (the
     real chunk bodies run, in chunk order, on the calling thread), and
     ``is_threaded`` reports ``True`` so kernels take the same multi-worker
-    code paths — privatized arenas, owner partitions — they would take
+    code paths — per-thread arenas, owner partitions — they would take
     under :class:`~repro.parallel.openmp.OpenMPBackend` with ``nthreads``
     workers.
 

@@ -1,9 +1,9 @@
 """Worker-slot identity for the thread-pool backends.
 
-OpenMP kernels privatize per *logical worker* (``omp_get_thread_num()``),
+OpenMP kernels keep private state per *logical worker* (``omp_get_thread_num()``),
 not per OS thread: the identity that matters for a thread-private arena is
 "which of the backend's ``nthreads`` execution slots is running this
-chunk".  Keying privatized state by raw ``threading.get_ident()`` conflates
+chunk".  Keying thread-private state by raw ``threading.get_ident()`` conflates
 the two — thread idents outlive executor recycling, get reused by the OS,
 and multiply under worker churn, which is exactly how the backend-cached
 :class:`~repro.parallel.workspace.WorkspacePool` leaked arenas past its
@@ -11,7 +11,7 @@ and multiply under worker churn, which is exactly how the backend-cached
 
 This module is the single source of worker identity: backends lease a slot
 in ``[0, nthreads)`` around each chunk they execute (:class:`SlotPool`),
-bind it to the running thread (:func:`bound_slot`), and privatized state
+bind it to the running thread (:func:`bound_slot`), and thread-private state
 keys itself on :func:`current_slot`.  Two chunks never share a slot while
 both are in flight, so slot-keyed state is race-free *and* bounded by the
 slot count no matter how many OS threads come and go.

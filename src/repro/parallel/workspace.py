@@ -1,11 +1,11 @@
-"""Thread-local dense accumulator arenas for privatized scatter-add.
+"""Thread-local dense accumulator arenas for privatizing scatter-add.
 
-The seed COO-Mttkrp-OMP privatized its output *per chunk*: every chunk of
+The seed COO-Mttkrp-OMP kept a private output copy *per chunk*: every chunk of
 a dynamic schedule allocated a fresh dense ``(I_mode, R)`` buffer and the
 final reduction summed one buffer per chunk — O(nchunks) full-size
 allocations plus an O(nchunks) serial dense reduction, traffic the paper's
-OpenMP kernels do not have.  Real privatized kernels (and the dense
-workspaces of Kjolstad et al., arXiv 1802.10574) privatize *per worker*:
+OpenMP kernels do not have.  Real privatizing kernels (and the dense
+workspaces of Kjolstad et al., arXiv 1802.10574) keep one copy *per worker*:
 each worker owns one arena that it reuses across every chunk it executes,
 and the final reduction is a fixed ``nthreads``-way tree.
 
@@ -44,12 +44,12 @@ from repro.parallel.slots import current_slot
 
 
 class WorkspacePool:
-    """Per-worker reusable dense accumulators for one privatized loop.
+    """Per-worker reusable dense accumulators for one privatizing loop.
 
     Parameters
     ----------
     shape, dtype:
-        Geometry of the shared output being privatized.
+        Geometry of the shared output each arena copies.
     max_arenas:
         Upper bound on distinct arenas — the executing backend's thread
         count.  ``acquire`` raises if a loop somehow touches more live

@@ -28,10 +28,6 @@ from repro.sptensor.coo import COOTensor
 from repro.types import VALUE_DTYPE
 from repro.util.validation import check_indices_in_bounds, check_shape
 
-#: Sliding-window eviction strategies (see :class:`SlidingWindowTensor`).
-EVICTION_MODES = ("exact", "subtract")
-
-
 def validate_batch(
     shape: Sequence[int], coords: np.ndarray, values: np.ndarray
 ) -> "tuple[np.ndarray, np.ndarray]":
@@ -147,47 +143,22 @@ class SlidingWindowTensor:
     sum of the live batches — the state a streaming anomaly detector
     queries.
 
-    Eviction modes
-    --------------
-    ``"exact"`` (default)
-        Structural eviction: the retained batches are re-coalesced, so
-        ``state`` is **bit-identical** to
-        ``COOTensor(shape, concat(coords), concat(values)).coalesce()``
-        over the live batches — genuine values of any magnitude (even
-        below 1e-12) and exact cancellations (explicit zeros) survive,
-        and no floating-point residue ever drifts the state.  Costs
-        O(window x batch) per push.
-    ``"subtract"``
-        The historical fast path: the expired batch is subtracted
-        (sparse Tew) and near-zeros are dropped with ``subtract_atol``.
-        O(state) per push, but **lossy**: any live value with magnitude
-        <= ``subtract_atol`` is silently destroyed and subtraction
-        residue accumulates.  Opt in only when the window sum is known
-        to stay far from the tolerance.
+    Eviction is structural: the retained batches are re-coalesced, so
+    ``state`` is **bit-identical** to
+    ``COOTensor(shape, concat(coords), concat(values)).coalesce()`` over
+    the live batches — genuine values of any magnitude (even below 1e-12)
+    and exact cancellations (explicit zeros) survive, and no
+    floating-point residue ever drifts the state.  Costs O(window x batch)
+    per push.
     """
 
-    def __init__(
-        self,
-        shape: Sequence[int],
-        window: int,
-        eviction: str = "exact",
-        subtract_atol: float = 1e-12,
-    ):
+    def __init__(self, shape: Sequence[int], window: int):
         if window < 1:
             raise ShapeError("window must be >= 1")
-        if eviction not in EVICTION_MODES:
-            raise ValueError(
-                f"unknown eviction mode {eviction!r}; expected one of "
-                f"{EVICTION_MODES}"
-            )
         self.shape = check_shape(shape)
         self.window = int(window)
-        self.eviction = eviction
-        self.subtract_atol = float(subtract_atol)
-        #: Raw validated batches (exact mode's rebuild source).
+        #: Raw validated batches (the rebuild source).
         self._raw: deque[tuple[np.ndarray, np.ndarray]] = deque()
-        #: Per-batch coalesced tensors (subtract mode's eviction source).
-        self._coalesced: deque[COOTensor] = deque()
         self._state: COOTensor = COOTensor.empty(self.shape)
         #: Monotonic push counter (snapshot/memoization key for readers).
         self.version = 0
@@ -197,26 +168,11 @@ class SlidingWindowTensor:
     def push(self, coords: np.ndarray, values: np.ndarray) -> COOTensor:
         """Admit a batch, evict the expired one, return the live tensor."""
         coords, values = validate_batch(self.shape, coords, values)
-        if self.eviction == "exact":
-            self._raw.append((coords, values))
-            if len(self._raw) > self.window:
-                self._raw.popleft()
-                self.evictions += 1
-            self._state = self._rebuild()
-        else:
-            from repro.kernels.tew import coo_tew
-
-            batch = COOTensor(
-                self.shape, coords, values, copy=False, check=False
-            ).coalesce()
-            self._coalesced.append(batch)
-            self._state = coo_tew(self._state, batch, "add")
-            if len(self._coalesced) > self.window:
-                expired = self._coalesced.popleft()
-                self.evictions += 1
-                self._state = coo_tew(self._state, expired, "sub").drop_zeros(
-                    self.subtract_atol
-                )
+        self._raw.append((coords, values))
+        if len(self._raw) > self.window:
+            self._raw.popleft()
+            self.evictions += 1
+        self._state = self._rebuild()
         self.version += 1
         return self._state
 
@@ -236,4 +192,4 @@ class SlidingWindowTensor:
 
     @property
     def nbatches(self) -> int:
-        return len(self._raw) if self.eviction == "exact" else len(self._coalesced)
+        return len(self._raw)

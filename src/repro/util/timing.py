@@ -7,6 +7,7 @@ implement that measurement protocol.
 
 from __future__ import annotations
 
+import statistics
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -61,6 +62,7 @@ class TimingResult:
     """Statistics from repeated timing of a callable."""
 
     mean: float
+    median: float
     best: float
     worst: float
     repeats: int
@@ -94,6 +96,7 @@ def time_call(
         times.append(time.perf_counter() - t0)
     return TimingResult(
         mean=sum(times) / len(times),
+        median=statistics.median(times),
         best=min(times),
         worst=max(times),
         repeats=repeats,

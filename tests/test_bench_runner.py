@@ -55,6 +55,29 @@ class TestRunner:
             assert r.host_seconds > 0  # host measurement enabled
             assert r.seconds > 0
 
+    def test_host_timed_records_say_what_was_timed(self, tensor, monkeypatch):
+        monkeypatch.delenv("REPRO_COMPILED", raising=False)
+        cfg = RunnerConfig(
+            repeats=1, warmup=0, kernels=(Kernel.MTTKRP, Kernel.TTV),
+            formats=(Format.COO,),
+        )
+        mttkrp, ttv = SuiteRunner(BLUESKY, cfg).run_tensor("t", tensor)
+        assert mttkrp.extra["method"] == "atomic"
+        assert mttkrp.extra["tier"] == "numpy"
+        assert ttv.extra["tier"] == "numpy"
+        assert "method" not in ttv.extra
+
+    def test_modeled_records_carry_no_host_tags(self, tensor):
+        # Modeled records are every line a default sweep journals; their
+        # wire form must not grow the host-timing tags.
+        cfg = RunnerConfig(
+            measure_host=False, kernels=(Kernel.MTTKRP,), formats=(Format.COO,)
+        )
+        (rec,) = SuiteRunner(BLUESKY, cfg).run_tensor("t", tensor)
+        assert set(rec.extra) == {
+            "memory_s", "fiber_s", "atomic_s", "cache_resident", "roofline",
+        }
+
     def test_gpu_records_simulated(self, gpu_runner, tensor):
         rec = gpu_runner.run_kernel(
             TensorBundle.prepare("g", tensor, gpu_runner.config),

@@ -203,6 +203,23 @@ class TestObservability:
     def test_regress_missing_input_exits_two(self, tmp_path, capsys):
         assert main(["regress", "/nonexistent/a.jsonl", "/nonexistent/b.jsonl"]) == 2
 
+    def test_regress_non_store_inputs_exit_two(self, tmp_path, capsys):
+        # The retired BENCH_kernels.json layout and plain garbage both end
+        # in a logged regress.failed and exit 2, not a StoreError traceback.
+        import json
+
+        old = tmp_path / "BENCH_kernels.json"
+        old.write_text(json.dumps(
+            {"meta": {}, "results": [{"kernel": "mttkrp", "median_s": 0.05}]},
+            indent=2,
+        ))
+        garbage = tmp_path / "garbage.txt"
+        garbage.write_text("not\na run store\n")
+        for path in (old, garbage):
+            capsys.readouterr()
+            assert main(["regress", str(path), str(path)]) == 2
+            assert "regress.failed" in capsys.readouterr().err
+
     def test_metrics_from_store(self, tmp_path, capsys):
         import json
 

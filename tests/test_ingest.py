@@ -49,8 +49,6 @@ class TestIngestConfig:
         with pytest.raises(IngestError):
             IngestConfig(workers=0)
         with pytest.raises(IngestError):
-            IngestConfig(eviction="nope")
-        with pytest.raises(IngestError):
             IngestConfig(block_size=3)
 
     def test_fingerprint_stable_and_fault_insensitive(self):

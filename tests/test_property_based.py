@@ -217,15 +217,9 @@ class TestKernelsAgainstDense:
         back = coo_ts(forward, s, "div")
         np.testing.assert_allclose(back.values, t.values, rtol=1e-9)
 
-#: Every (scatter method, privatization) the Mttkrp kernels accept:
-#: "workspace" is the atomic method's per-thread arena pool, "chunk" the
-#: seed's per-chunk buffers kept as the ablation baseline.
-SCATTER_METHODS = [
-    ("atomic", "arena"),
-    ("atomic", "chunk"),
-    ("sort", "arena"),
-    ("owner", "arena"),
-]
+#: Every scatter method the Mttkrp kernels accept ("atomic" accumulates
+#: into the per-thread arena pool under a threaded backend).
+SCATTER_METHODS = ["atomic", "sort", "owner"]
 
 BACKENDS = ["sequential", "openmp", "racecheck"]
 
@@ -241,23 +235,19 @@ class TestCrossFormatMatrix:
     """
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("method,privatize", SCATTER_METHODS)
+    @pytest.mark.parametrize("method", SCATTER_METHODS)
     @given(t=sparse_tensors(max_order=3, max_dim=10, max_nnz=40), data=st.data())
     @settings(max_examples=10, deadline=None)
-    def test_mttkrp(self, t, data, method, privatize, backend):
+    def test_mttkrp(self, t, data, method, backend):
         mode = data.draw(st.integers(0, t.nmodes - 1))
         b = data.draw(block_sizes)
         rng = np.random.default_rng(data.draw(st.integers(0, 1000)))
         mats = [rng.uniform(-1, 1, (s, 3)) for s in t.shape]
         want = dense_mttkrp(t.to_dense(), mats, mode)
-        got_coo = coo_mttkrp(
-            t, mats, mode, backend=backend, method=method, privatize=privatize
-        )
+        got_coo = coo_mttkrp(t, mats, mode, backend=backend, method=method)
         np.testing.assert_allclose(got_coo, want, rtol=1e-7, atol=1e-9)
         h = HiCOOTensor.from_coo(t, b)
-        got_hicoo = hicoo_mttkrp(
-            h, mats, mode, backend=backend, method=method, privatize=privatize
-        )
+        got_hicoo = hicoo_mttkrp(h, mats, mode, backend=backend, method=method)
         np.testing.assert_allclose(got_hicoo, want, rtol=1e-7, atol=1e-9)
 
     @pytest.mark.parametrize("backend", BACKENDS)

@@ -258,12 +258,9 @@ class TestKernelMatrixUnderChecker:
         )
         np.testing.assert_allclose(got, ref, rtol=1e-12)
 
-    @pytest.mark.parametrize("privatize", ["arena", "chunk"])
-    def test_mttkrp_privatization_modes(self, tensor, mats, rc, privatize):
+    def test_mttkrp_atomic_checks_workspace_region(self, tensor, mats, rc):
         ref = coo_mttkrp(tensor, mats, 0)
-        got = coo_mttkrp(
-            tensor, mats, 0, backend=rc, schedule="dynamic", privatize=privatize
-        )
+        got = coo_mttkrp(tensor, mats, 0, backend=rc, schedule="dynamic")
         np.testing.assert_allclose(got, ref, rtol=1e-12)
         assert rc.history, "workspace region must have been checked"
         assert rc.history[-1].access == "workspace"

@@ -19,7 +19,7 @@ from repro.bench.regress import (
 
 def _meas(tensor, kernel="ttv", fmt="coo", value=1.0, method=""):
     return Measurement(
-        identity=(tensor, kernel, fmt, "Bluesky"),
+        identity=f"{tensor}/{kernel}/{fmt}",
         group=(kernel, fmt, method),
         value=value,
     )
@@ -97,13 +97,15 @@ class TestClassification:
 
 
 class TestLoaders:
-    def _write_store(self, tmp_path, name, host_scale=1.0):
-        from repro.bench import RunnerConfig, RunStore, SweepCase
+    def _write_store(self, tmp_path, name, host_scale=1.0, repeats=3):
+        from repro.bench import RunnerConfig, RunStore
         from repro.bench.runner import enumerate_cases
         from repro.metrics.perf import PerfRecord
 
         store = RunStore(tmp_path / name)
-        cfg = RunnerConfig(kernels=("ttv",), formats=("coo", "hicoo"))
+        cfg = RunnerConfig(
+            kernels=("ttv",), formats=("coo", "hicoo"), repeats=repeats
+        )
         cases = enumerate_cases(
             {"t0": {"kind": "random", "shape": (4, 4, 4), "nnz": 8, "seed": 0},
              "t1": {"kind": "random", "shape": (5, 5, 5), "nnz": 9, "seed": 0}},
@@ -143,32 +145,40 @@ class TestLoaders:
             assert g.ci.estimate == pytest.approx(2.0)
             assert g.ci.excludes(1.0)
 
-    def test_bench_json_loader(self, tmp_path):
-        data = {
-            "meta": {"nthreads": 4},
-            "results": [
-                {"kernel": "mttkrp", "format": "coo", "backend": "openmp",
-                 "method": "atomic", "median_s": 0.05, "min_s": 0.04,
-                 "reps": 7, "imbalance": 1.1},
-                {"kernel": "mttkrp", "format": "coo", "backend": "openmp",
-                 "method": "owner", "median_s": 0.03, "min_s": 0.03, "reps": 7},
-            ],
-        }
-        path = tmp_path / "BENCH_kernels.json"
-        path.write_text(json.dumps(data))
-        ms = load_measurements(str(path))
-        assert len(ms) == 2
-        assert {m.group for m in ms} == {
-            ("mttkrp", "coo", "atomic"), ("mttkrp", "coo", "owner"),
-        }
-        # Identity excludes measurement fields, so a re-run with different
-        # timings pairs with the original.
-        report = compare_paths(str(path), str(path))
-        assert report.exit_code == 0
+    def test_sweep_stores_pair_only_on_identical_cases(self, tmp_path):
+        # Same tensors, kernels and formats, but a different repeat count:
+        # every case fingerprint differs, so nothing pairs.
+        a = self._write_store(tmp_path, "a.jsonl")
+        b = self._write_store(tmp_path, "b.jsonl", repeats=5)
+        with pytest.raises(RegressError, match="no common cases"):
+            compare_paths(a, b)
 
-    def test_committed_bench_file_self_compares_clean(self):
-        report = compare_paths("BENCH_kernels.json", "BENCH_kernels.json")
-        assert report.exit_code == 0
+    def test_committed_bench_stores_self_compare_clean(self):
+        for path in ("BENCH_kernels.numpy.jsonl", "BENCH_kernels.compiled.jsonl"):
+            report = compare_paths(path, path)
+            assert report.exit_code == 0
+            assert report.unmatched_a == report.unmatched_b == 0
+
+    def test_committed_tier_stores_pair_cell_for_cell(self):
+        # Harness fingerprints exclude the tier, so the two stores pair
+        # completely and the compiled tier gates against the NumPy tier.
+        report = compare_paths(
+            "BENCH_kernels.numpy.jsonl", "BENCH_kernels.compiled.jsonl"
+        )
+        assert report.unmatched_a == report.unmatched_b == 0
+        verdicts = {g.label: g.classification for g in report.groups}
+        assert verdicts["mttkrp/coo/atomic"] == IMPROVED
+
+    @pytest.mark.parametrize("content", [
+        json.dumps({"meta": {}, "results": [{"kernel": "mttkrp",
+                                             "median_s": 0.05}]}, indent=2),
+        "not\na run store\n",
+    ], ids=["bench-json", "garbage"])
+    def test_non_store_input_raises_regress_error(self, tmp_path, content):
+        path = tmp_path / "x.json"
+        path.write_text(content)
+        with pytest.raises(RegressError):
+            load_measurements(str(path))
 
     def test_missing_file_raises(self):
         with pytest.raises(RegressError):

@@ -1,8 +1,8 @@
 """Backend/schedule/method equivalence for the scatter-add kernels.
 
 Every combination of backend (sequential, OpenMP), schedule (static,
-dynamic, guided), update method (atomic, sort, owner) and privatization
-(arena, chunk) must produce the same Mttkrp/Ttv/Ttm results — including
+dynamic, guided) and update method (atomic, sort, owner) must produce
+the same Mttkrp/Ttv/Ttm results — including
 the empty-tensor and single-block edge cases — and the owner-computes
 method must be *bit-identical* to the sequential kernel.
 """
@@ -100,19 +100,6 @@ class TestMttkrpEquivalence:
                 method=method, schedule=schedule, blocks_per_chunk=3,
             )
             np.testing.assert_allclose(got, ref, rtol=1e-12)
-
-    @pytest.mark.parametrize("privatize", ["arena", "chunk"])
-    def test_privatization_modes_agree(self, tensor, mats, omp4, privatize):
-        ref = coo_mttkrp(tensor, mats, 0)
-        got = coo_mttkrp(
-            tensor, mats, 0, backend=omp4,
-            schedule="dynamic", privatize=privatize,
-        )
-        np.testing.assert_allclose(got, ref, rtol=1e-12)
-
-    def test_unknown_privatize_rejected(self, tensor, mats):
-        with pytest.raises(ValueError, match="privatization"):
-            coo_mttkrp(tensor, mats, 0, privatize="magic")
 
     @pytest.mark.parametrize("mode", [0, 1, 2])
     def test_owner_bit_identical_coo(self, tensor, mats, omp4, mode):

@@ -96,8 +96,6 @@ class TestSlidingWindow:
     def test_window_validation(self):
         with pytest.raises(ShapeError):
             SlidingWindowTensor((5, 5), window=0)
-        with pytest.raises(ValueError):
-            SlidingWindowTensor((5, 5), window=2, eviction="nope")
 
     def test_push_validates_bounds_immediately(self):
         w = SlidingWindowTensor((5, 5), window=2)
@@ -154,13 +152,11 @@ def _assert_bit_exact(state, want):
 
 
 class TestExactEviction:
-    """The sliding window's exact mode is bit-identical to re-coalescing.
+    """The sliding window is bit-identical to re-coalescing.
 
     These are the regression tests for the eviction-corruption bug: the
     old subtract-and-drop path destroyed genuine values <= its tolerance
-    and drifted state through float residue.  ``test_subtract_mode_*``
-    pin that the opt-in lossy mode still loses — i.e. they FAIL when run
-    against the old default.
+    and drifted state through float residue.
     """
 
     @pytest.mark.parametrize("window", [1, 3, 10])
@@ -193,7 +189,7 @@ class TestExactEviction:
 
     def test_exact_cancellation_keeps_explicit_zero(self):
         # +1 and -1 at the same coordinate in the live window sum to an
-        # explicit 0.0 entry — coalesce() keeps it, so exact mode must.
+        # explicit 0.0 entry — coalesce() keeps it, so the window must.
         shape = (3, 3)
         w = SlidingWindowTensor(shape, window=2)
         w.push(np.array([[1, 1]]), np.array([1.0]))
@@ -207,43 +203,14 @@ class TestExactEviction:
         _assert_bit_exact(state, want)
 
     def test_no_float_residue_after_eviction(self):
-        # 0.1 + 0.2 - 0.1 != 0.2 in binary floating point: the subtract
-        # path leaves residue at [0,0]; exact mode is residue-free.
+        # 0.1 + 0.2 - 0.1 != 0.2 in binary floating point: a subtracting
+        # eviction would leave residue at [0,0]; the rebuild is residue-free.
         shape = (2, 2)
         w = SlidingWindowTensor(shape, window=1)
         w.push(np.array([[0, 0]]), np.array([0.1]))
         state = w.push(np.array([[0, 0]]), np.array([0.2]))
         assert state.nnz == 1
         assert state.values[0] == np.float64(0.2)
-
-    def test_subtract_mode_destroys_tiny_values(self):
-        # The documented loss of the opt-in fast path (and the bug when
-        # it was the only path): an eviction drops live tiny values.
-        w = SlidingWindowTensor((4, 4), window=1, eviction="subtract")
-        w.push(np.array([[0, 0]]), np.array([1.0]))
-        state = w.push(np.array([[1, 1]]), np.array([1e-15]))
-        assert state.nnz == 0  # the genuine 1e-15 entry is gone
-        exact = SlidingWindowTensor((4, 4), window=1)
-        exact.push(np.array([[0, 0]]), np.array([1.0]))
-        state = exact.push(np.array([[1, 1]]), np.array([1e-15]))
-        assert state.nnz == 1 and state.values[0] == 1e-15
-
-    def test_subtract_mode_still_close_for_large_values(self):
-        # The fast path remains available and approximately correct when
-        # magnitudes stay far above the tolerance.
-        rng = np.random.default_rng(5)
-        shape = (15, 15)
-        fast = SlidingWindowTensor(shape, window=3, eviction="subtract")
-        exact = SlidingWindowTensor(shape, window=3)
-        for _ in range(8):
-            n = int(rng.integers(5, 30))
-            coords = rng.integers(0, 15, size=(n, 2))
-            values = rng.random(n) + 0.5
-            f = fast.push(coords, values)
-            e = exact.push(coords, values)
-        np.testing.assert_allclose(
-            f.to_dense(), e.to_dense(), rtol=1e-9, atol=1e-9
-        )
 
     def test_powerlaw_stream_windowed_bit_exact(self):
         shape = (64, 64, 8)

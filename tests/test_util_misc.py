@@ -72,6 +72,7 @@ class TestTimeCall:
         assert res.repeats == 3
         assert len(calls) == 4  # warmup + repeats
         assert res.best <= res.mean <= res.worst
+        assert res.best <= res.median <= res.worst
         assert res.seconds == res.mean
 
     def test_rejects_zero_repeats(self):
