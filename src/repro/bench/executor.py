@@ -11,9 +11,17 @@ execution layer that fixes that:
   a stable fingerprint with an RNG seed derived from that fingerprint;
 * cases partition into shards by ``index % shards``, so ``N`` parallel
   invocations cover the sweep disjointly;
-* each case runs in an isolated worker subprocess
-  (:mod:`repro.bench.worker`) under a per-case timeout; a hang is
-  killed, a crash is contained;
+* each executor thread owns one **warm worker**: a long-lived
+  :mod:`repro.bench.worker` subprocess, spawned on its thread's first
+  case, that takes one JSON case line on stdin and answers one JSON
+  verdict line.  Pending cases run grouped by tensor, and the worker
+  keeps the last tensor's prepared bundle, so a group materializes its
+  tensor once instead of once per case;
+* every attempt runs under a per-case timeout measured from writing the
+  case line to reading the verdict line; a hang is killed, a crash is
+  contained.  A worker that timed out, crashed or returned an error
+  verdict is replaced, so every retry runs in a fresh interpreter; the
+  rest are closed by stdin EOF when the run ends;
 * failed cases retry with exponential backoff, and cases that exhaust
   their retries are **quarantined** with their failure log instead of
   aborting the sweep;
@@ -33,6 +41,7 @@ from __future__ import annotations
 
 import json
 import os
+import select
 import subprocess
 import sys
 import tempfile
@@ -51,7 +60,6 @@ from repro.bench.runner import (
 from repro.bench.runstore import RunStore
 from repro.metrics.perf import PerfRecord
 from repro.obs.context import (
-    TRACE_ENV,
     TraceContext,
     activate_context,
     current_context,
@@ -71,6 +79,9 @@ FAIL_CRASH = "crash"      # the worker died without a verdict
 
 ISOLATION_MODES = ("process", "inline")
 
+#: Seconds a closing warm worker gets to exit after stdin EOF.
+CLOSE_GRACE_S = 10.0
+
 
 class ExecutorError(RuntimeError):
     """Misconfiguration of the sweep executor (not a case failure)."""
@@ -82,7 +93,9 @@ class ExecutorConfig:
 
     shards: int = 1
     shard_index: int = 0
-    #: Wall-clock budget per case *attempt*, subprocess start included.
+    #: Wall-clock budget per case *attempt*, from writing the case line
+    #: to a worker to reading its verdict line.  A worker's first
+    #: attempt also spends it on the interpreter start and imports.
     timeout_s: float = 120.0
     #: Re-attempts after the first failure (0 = fail straight to
     #: quarantine).
@@ -91,8 +104,8 @@ class ExecutorConfig:
     backoff_max_s: float = 2.0
     #: Skip cases whose fingerprint already has a record in the store.
     resume: bool = False
-    #: ``"process"`` runs each case in a worker subprocess (timeouts and
-    #: crashes contained); ``"inline"`` runs in-process — fast, used by
+    #: ``"process"`` runs each case in a warm worker subprocess (timeouts
+    #: and crashes contained); ``"inline"`` runs in-process — fast, used by
     #: tests and trusted local sweeps, but a hang or hard crash is not
     #: contained.
     isolation: str = "process"
@@ -215,8 +228,17 @@ def _inject_chaos_failure(case: SweepCase, attempt: int) -> None:
     raise ExecutorError("chaos injection with failure_rate=1.0 did not raise")
 
 
+def prepare_bundle(case: SweepCase) -> TensorBundle:
+    """Materialize the case's tensor and prepare its bundle."""
+    tensor = materialize_tensor(case.tensor_spec)
+    return TensorBundle.prepare(case.tensor, tensor, case.runner_config())
+
+
 def execute_case(
-    case: SweepCase, attempt: int = 0, faults: "dict | None" = None
+    case: SweepCase,
+    attempt: int = 0,
+    faults: "dict | None" = None,
+    bundle: "TensorBundle | None" = None,
 ) -> PerfRecord:
     """Run one case to a :class:`PerfRecord` (the worker's core).
 
@@ -224,6 +246,8 @@ def execute_case(
     into retry/quarantine decisions.  Injected ``fail_attempts`` faults
     raise :class:`~repro.parallel.chaos.ChaosError` here, through a real
     chaos backend, so the retry path is exercised end to end.
+    ``bundle`` is the case's :func:`prepare_bundle` result when the
+    caller already has it (a warm worker running a tensor group).
     """
     fault = match_fault(case, faults)
     if attempt < int(fault.get("fail_attempts", 0)):
@@ -233,10 +257,9 @@ def execute_case(
         time.sleep(delay_s)  # injected straggler: slow, not failing
     from repro.roofline.platform import get_platform
 
-    config = case.runner_config()
-    runner = SuiteRunner(get_platform(case.platform), config)
-    tensor = materialize_tensor(case.tensor_spec)
-    bundle = TensorBundle.prepare(case.tensor, tensor, config)
+    runner = SuiteRunner(get_platform(case.platform), case.runner_config())
+    if bundle is None:
+        bundle = prepare_bundle(case)
     return runner.run_kernel(bundle, case.kernel, case.fmt)
 
 
@@ -257,6 +280,9 @@ class ExecutorReport:
     #: Cases migrated between worker deques by the stealing pool
     #: (always 0 for the serial ``workers=1`` loop).
     steals: int = 0
+    #: Warm worker subprocesses started (one per executor thread, plus
+    #: one per replaced worker; 0 under inline isolation).
+    worker_spawns: int = 0
 
     @property
     def total(self) -> int:
@@ -268,7 +294,8 @@ class ExecutorReport:
             f"{len(self.completed)} completed, {len(self.skipped)} skipped "
             f"(resume), {len(self.quarantined)} quarantined, "
             f"{self.retries} retries, {self.timeouts} timeouts, "
-            f"{self.crashes} crashes, {self.steals} steals"
+            f"{self.crashes} crashes, {self.steals} steals, "
+            f"{self.worker_spawns} worker spawns"
         ]
         for fp in self.quarantined:
             log = self.failures.get(fp, [])
@@ -296,6 +323,88 @@ class CaseOutcome:
     elapsed_s: float = 0.0
 
 
+class WarmWorker:
+    """One long-lived ``python -m repro.bench.worker`` subprocess.
+
+    Case payloads go out as JSON lines on the worker's stdin; verdicts
+    come back as JSON lines on its stdout, which the worker keeps for
+    the protocol alone.  Its stderr goes to a temp file rather than a
+    pipe that could fill, and the file's tail explains a crash.
+    """
+
+    def __init__(self):
+        import repro
+
+        # The worker must import this very repro package regardless of
+        # how the parent found it.
+        pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = pkg_root + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        self._stderr = tempfile.TemporaryFile()
+        self.proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.bench.worker"],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=self._stderr,
+            env=env,
+        )
+        self._pending = b""
+
+    def exchange(self, payload: dict, timeout_s: float) -> "dict | None":
+        """Send one case; its verdict, or ``None`` if the worker died.
+
+        Raises :class:`subprocess.TimeoutExpired` when no verdict line
+        arrives within ``timeout_s`` of the write.
+        """
+        deadline = time.monotonic() + timeout_s
+        try:
+            self.proc.stdin.write(json.dumps(payload).encode("utf-8") + b"\n")
+            self.proc.stdin.flush()
+        except BrokenPipeError:
+            return None
+        fd = self.proc.stdout.fileno()
+        while b"\n" not in self._pending:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not select.select([fd], [], [], remaining)[0]:
+                raise subprocess.TimeoutExpired(self.proc.args, timeout_s)
+            chunk = os.read(fd, 1 << 16)
+            if not chunk:
+                return None
+            self._pending += chunk
+        line, _, self._pending = self._pending.partition(b"\n")
+        try:
+            return json.loads(line)
+        except ValueError:
+            return None
+
+    def close(self, kill: bool = False) -> "tuple[int, str]":
+        """Stop the worker; returns its exit code and stderr tail.
+
+        Without ``kill`` the worker sees stdin EOF and exits on its own,
+        running its ``atexit`` hooks; one that does not exit within
+        :data:`CLOSE_GRACE_S` is killed.
+        """
+        if kill:
+            self.proc.kill()
+        try:
+            self.proc.stdin.close()
+        except OSError:
+            pass  # the worker is already gone
+        try:
+            self.proc.wait(timeout=CLOSE_GRACE_S)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            self.proc.wait()
+        self.proc.stdout.close()
+        self._stderr.seek(0, os.SEEK_END)
+        self._stderr.seek(max(0, self._stderr.tell() - 400))
+        tail = self._stderr.read().decode("utf-8", "replace").strip()
+        self._stderr.close()
+        return self.proc.returncode, tail
+
+
 class CaseRunner:
     """The per-case attempt/retry/quarantine state machine.
 
@@ -310,6 +419,11 @@ class CaseRunner:
     def __init__(self, config: "ExecutorConfig | None" = None, sleep=time.sleep):
         self.config = config or ExecutorConfig()
         self._sleep = sleep
+        #: thread ident -> that executor thread's :class:`WarmWorker`.
+        self._workers: dict = {}
+        self._workers_lock = threading.Lock()
+        #: Warm workers this runner has started.
+        self.worker_spawns = 0
 
     def backoff_s(self, attempt: int) -> float:
         """Exponential backoff before re-attempt ``attempt + 1``."""
@@ -426,65 +540,66 @@ class CaseRunner:
             }
 
     def _process_attempt(self, case: SweepCase, attempt: int, context=None):
-        import repro
-
         cfg = self.config
-        with tempfile.TemporaryDirectory(prefix="repro-sweep-") as tmp:
-            case_path = os.path.join(tmp, "case.json")
-            verdict_path = os.path.join(tmp, "verdict.json")
-            payload = {
-                "case": case.to_dict(),
+        payload = {"case": case.to_dict(), "attempt": attempt, "faults": cfg.faults}
+        if context is not None:
+            payload["trace"] = context.to_dict()
+        worker = self._worker()
+        try:
+            verdict = worker.exchange(payload, cfg.timeout_s)
+        except subprocess.TimeoutExpired:
+            self._retire(worker, kill=True)
+            return None, {
+                "kind": FAIL_TIMEOUT,
                 "attempt": attempt,
-                "faults": cfg.faults,
+                "detail": f"worker exceeded {cfg.timeout_s:g}s; killed",
             }
-            if context is not None:
-                payload["trace"] = context.to_dict()
-            with open(case_path, "w") as f:
-                json.dump(payload, f)
-            # The worker must import this very repro package regardless of
-            # how the parent found it.
-            pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-            env = dict(os.environ)
-            env["PYTHONPATH"] = pkg_root + (
-                os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-            )
-            if context is not None:
-                env[TRACE_ENV] = context.to_env()
-            proc = subprocess.Popen(
-                [sys.executable, "-m", "repro.bench.worker", case_path, verdict_path],
-                stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE,
-                env=env,
-                text=True,
-            )
-            try:
-                _, stderr = proc.communicate(timeout=cfg.timeout_s)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.communicate()
-                return None, {
-                    "kind": FAIL_TIMEOUT,
-                    "attempt": attempt,
-                    "detail": f"worker exceeded {cfg.timeout_s:g}s; killed",
-                }
-            if proc.returncode != 0 or not os.path.exists(verdict_path):
-                tail = (stderr or "").strip()[-400:]
-                return None, {
-                    "kind": FAIL_CRASH,
-                    "attempt": attempt,
-                    "detail": f"worker exit {proc.returncode} without verdict"
-                    + (f": {tail}" if tail else ""),
-                }
-            with open(verdict_path) as f:
-                verdict = json.load(f)
+        if verdict is None:
+            returncode, tail = self._retire(worker)
+            return None, {
+                "kind": FAIL_CRASH,
+                "attempt": attempt,
+                "detail": f"worker exit {returncode} without verdict"
+                + (f": {tail}" if tail else ""),
+            }
         self._absorb_verdict(verdict)
         if verdict.get("ok"):
             return PerfRecord.from_dict(verdict["record"]), None
+        self._retire(worker)
         return None, {
             "kind": FAIL_ERROR,
             "attempt": attempt,
             "detail": str(verdict.get("error", "worker reported failure")),
         }
+
+    def _worker(self) -> "WarmWorker":
+        """This thread's warm worker, spawned on first use."""
+        key = threading.get_ident()
+        with self._workers_lock:
+            worker = self._workers.get(key)
+            if worker is not None:
+                return worker
+            worker = self._workers[key] = WarmWorker()
+            self.worker_spawns += 1
+        current_tracer().count("exec.worker_spawns")
+        get_metrics().inc("exec.worker_spawns")
+        return worker
+
+    def _retire(self, worker: "WarmWorker", kill: bool = False):
+        """Drop this thread's worker; returns its close() result."""
+        with self._workers_lock:
+            self._workers.pop(threading.get_ident(), None)
+        return worker.close(kill=kill)
+
+    def close(self) -> None:
+        """Close every warm worker (stdin EOF, then wait).
+
+        Called when a run ends; a later attempt spawns a fresh worker.
+        """
+        with self._workers_lock:
+            workers, self._workers = list(self._workers.values()), {}
+        for worker in workers:
+            worker.close()
 
     def _absorb_verdict(self, verdict: dict) -> None:
         """Fold worker-subprocess telemetry into this process.
@@ -552,11 +667,14 @@ class SuiteExecutor:
     def run(self) -> ExecutorReport:
         """Execute the shard: skip, attempt/retry, journal, quarantine.
 
-        A failing case never aborts the sweep — it retries with
-        exponential backoff and lands in quarantine (journaled with its
-        failure log) once retries are exhausted.  ``KeyboardInterrupt``
-        does propagate; the journal keeps every case completed so far,
-        which is exactly what ``resume`` picks up.  With
+        Pending cases run grouped by tensor (a stable sort), so a warm
+        worker prepares each tensor once per group; the workers are
+        closed before this returns.  A failing case never aborts the
+        sweep — it retries with exponential backoff and lands in
+        quarantine (journaled with its failure log) once retries are
+        exhausted.  ``KeyboardInterrupt`` does propagate; the journal
+        keeps every case completed so far, which is exactly what
+        ``resume`` picks up.  With
         ``config.workers > 1`` the shard's cases run on the work-stealing
         pool instead of the serial loop; the journal content is identical
         (only line order varies with the schedule).
@@ -584,11 +702,18 @@ class SuiteExecutor:
                 )
                 continue
             pending.append(case)
-        if cfg.workers > 1 and len(pending) > 1:
-            self._run_stealing(pending, report)
-        else:
-            for case in pending:
-                fold_outcome(report, self.runner.run_case(case, self.store))
+        # Consecutive cases of one tensor share a warm worker's bundle.
+        pending.sort(key=lambda c: (c.tensor, repr(c.tensor_spec)))
+        spawns = self.runner.worker_spawns
+        try:
+            if cfg.workers > 1 and len(pending) > 1:
+                self._run_stealing(pending, report)
+            else:
+                for case in pending:
+                    fold_outcome(report, self.runner.run_case(case, self.store))
+        finally:
+            self.runner.close()
+        report.worker_spawns = self.runner.worker_spawns - spawns
         return report
 
     def backoff_s(self, attempt: int) -> float:

@@ -11,8 +11,8 @@ Subcommands
                 print format statistics (COO/HiCOO sizes, block stats).
 ``trace``     — run one kernel under the span tracer and export a Chrome
                 trace plus per-worker busy-time / load-imbalance analytics.
-``sweep``     — resilient sharded suite sweep: isolated worker
-                subprocess per case, per-case timeout, retry with
+``sweep``     — resilient sharded suite sweep: tensor-grouped cases on
+                warm worker subprocesses, per-case timeout, retry with
                 backoff, quarantine, and an append-only JSONL run store
                 supporting ``--resume`` and ``--merge``.
 ``report``    — fold a run store into paper-style Observation 1-5
@@ -992,7 +992,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser(
         "sweep",
-        help="resilient sharded suite sweep: per-case worker subprocesses, "
+        help="resilient sharded suite sweep: warm worker subprocesses, "
         "timeout, retry/quarantine, JSONL checkpoint store with resume/merge",
     )
     p_sweep.add_argument(
@@ -1041,7 +1041,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument(
         "--isolation", choices=["process", "inline"], default="process",
-        help="process = worker subprocess per case (default); inline = in-process",
+        help="process = warm worker subprocess per executor thread "
+        "(default); inline = in-process",
     )
     p_sweep.add_argument(
         "--faults", metavar="JSON",

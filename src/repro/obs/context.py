@@ -1,8 +1,8 @@
 """Trace-context propagation across threads and worker subprocesses.
 
 The tracer (:mod:`repro.obs.tracer`) records what happened inside *one*
-process; a served sweep crosses at least three — client, daemon, and a
-worker subprocess per case attempt.  A :class:`TraceContext` is the
+process; a served sweep crosses at least three — client, daemon, and
+warm worker subprocesses.  A :class:`TraceContext` is the
 correlation envelope that stitches them back together:
 
 * ``trace_id`` — one id per logical request, minted at the edge (the

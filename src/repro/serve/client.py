@@ -122,7 +122,9 @@ async def async_request(
     Each call owns its connection, so ``asyncio.gather`` over many calls
     exercises the daemon's multi-client path end to end.
     """
-    reader, writer = await asyncio.open_unix_connection(os.fspath(socket_path))
+    reader, writer = await asyncio.open_unix_connection(
+        os.fspath(socket_path), limit=protocol.MAX_LINE_BYTES
+    )
     try:
         writer.write(
             protocol.encode(protocol.make_request(op, params, id="1", trace=trace))

@@ -60,7 +60,8 @@ class ServeConfig:
     workers: int = 2
     steal_seed: int = 0
     #: ``"inline"`` (default: the daemon is long-lived and cases are
-    #: trusted) or ``"process"`` for subprocess isolation per attempt.
+    #: trusted) or ``"process"``: each pool thread runs its cases in a
+    #: warm worker subprocess, closed at daemon shutdown.
     isolation: str = "inline"
     timeout_s: float = 120.0
     retries: int = 2
@@ -99,6 +100,24 @@ class _RequestTrace:
     root_span: str
     #: Monotonic per-daemon sequence number (names the trace file).
     seq: int
+
+
+async def _skip_line(reader, consumed: int) -> None:
+    """Discard an over-limit line through its newline.
+
+    ``readline`` would drop only the buffered part of such a line, and
+    its tail would then parse as a second, bogus request; ``readuntil``
+    leaves the bytes in place, so exactly the oversized line is skipped.
+    """
+    while True:
+        await reader.readexactly(consumed)
+        try:
+            await reader.readuntil(b"\n")
+            return
+        except asyncio.LimitOverrunError as exc:
+            consumed = exc.consumed
+        except asyncio.IncompleteReadError:
+            return  # EOF inside the line: the read loop sees it next
 
 
 class BenchService:
@@ -464,7 +483,21 @@ class BenchService:
 
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as exc:
+                    line = exc.partial  # EOF: an unterminated last line
+                except asyncio.LimitOverrunError as exc:
+                    await _skip_line(reader, exc.consumed)
+                    self.metrics.inc("serve.errors", op="protocol")
+                    self._log.warn(
+                        "request.too_long", limit=protocol.MAX_LINE_BYTES
+                    )
+                    await send(protocol.error_response(
+                        "?",
+                        f"request line exceeds {protocol.MAX_LINE_BYTES} bytes",
+                    ))
+                    continue
                 if not line:
                     break
                 if not line.strip():
@@ -533,7 +566,7 @@ class BenchService:
         if os.path.exists(sock):
             os.unlink(sock)  # stale socket from a killed daemon
         self._server = await asyncio.start_unix_server(
-            self._client_connected, path=sock
+            self._client_connected, path=sock, limit=protocol.MAX_LINE_BYTES
         )
         if self.config.metrics_port is not None:
             self._metrics_server = await asyncio.start_server(
@@ -575,6 +608,7 @@ class BenchService:
             if tasks:
                 await asyncio.wait(tasks, timeout=10)
             self.scheduler.shutdown()
+            self.runner.close()
             if os.path.exists(sock):
                 os.unlink(sock)
 

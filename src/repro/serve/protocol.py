@@ -22,6 +22,11 @@ import json
 #: Bumped on any backwards-incompatible wire change.
 PROTOCOL_VERSION = 1
 
+#: Longest wire line either side reads (the asyncio stream ``limit``).
+#: A sweep result carries one record per case, so it must fit a full
+#: sweep's records; a longer request line is answered with an error.
+MAX_LINE_BYTES = 16 * 1024 * 1024
+
 OP_SWEEP = "sweep"
 OP_REPORT = "report"
 OP_REGRESS = "regress"

@@ -11,6 +11,7 @@ un-sharded run's records case-for-case.
 
 import json
 import os
+import signal
 
 import pytest
 
@@ -525,6 +526,139 @@ class TestProcessIsolation:
         failure = store.load().quarantined[broken.fingerprint]["failures"][0]
         assert failure["kind"] == FAIL_ERROR
         assert "teleport" in failure["detail"]
+
+
+@pytest.fixture
+def spawned(monkeypatch):
+    """Every warm worker the executor starts, in spawn order."""
+    import repro.bench.executor as executor
+
+    workers = []
+
+    class Recorded(executor.WarmWorker):
+        def __init__(self):
+            super().__init__()
+            workers.append(self)
+
+    monkeypatch.setattr(executor, "WarmWorker", Recorded)
+    return workers
+
+
+class TestWarmWorkers:
+    """Tensor-grouped cases on warm workers: reuse and failure isolation."""
+
+    def run(self, tmp_path, cases, **kw):
+        kw.setdefault("timeout_s", 120)
+        kw.setdefault("retries", 1)
+        store = RunStore(tmp_path / "run.jsonl")
+        report = SuiteExecutor(
+            cases, store, ExecutorConfig(isolation="process", **kw),
+            sleep=lambda s: None,
+        ).run()
+        return report, store.load()
+
+    @staticmethod
+    def group():
+        """Four cases sharing one tensor."""
+        return tiny_cases(
+            kernels=(Kernel.TS, Kernel.TTV), formats=(Format.COO, Format.HICOO)
+        )
+
+    def test_pending_cases_run_grouped_by_tensor(self, tmp_path):
+        a_ts, a_ttv, b_ts, b_ttv = tiny_cases(
+            kernels=(Kernel.TS, Kernel.TTV), names=("a", "b")
+        )
+        store = RunStore(tmp_path / "run.jsonl")
+        inline(store, [a_ts, b_ts, a_ttv, b_ttv]).run()
+        journal = [fp for fp in store.load().records]
+        assert journal == [c.fingerprint for c in (a_ts, a_ttv, b_ts, b_ttv)]
+
+    def test_worker_prepares_each_tensor_once_per_group(self, monkeypatch):
+        import io
+
+        import repro.bench.executor as executor
+        import repro.obs.registry as registry
+        from repro.bench import worker
+
+        # The loop clears its process registry after every verdict.
+        monkeypatch.setattr(registry, "_GLOBAL", registry.MetricsRegistry())
+        specs = []
+        original = executor.materialize_tensor
+
+        def counted(spec):
+            specs.append(spec)
+            return original(spec)
+
+        monkeypatch.setattr(executor, "materialize_tensor", counted)
+        cases = tiny_cases(
+            kernels=(Kernel.TS, Kernel.TTV), formats=(Format.COO, Format.HICOO),
+            names=("a", "b"),
+        )
+        lines = "".join(
+            json.dumps({"case": c.to_dict(), "attempt": 0}) + "\n" for c in cases
+        )
+        out = io.StringIO()
+        assert worker.serve(io.StringIO(lines), out) == 0
+        assert specs == [cases[0].tensor_spec, cases[4].tensor_spec]
+        verdicts = [json.loads(v) for v in out.getvalue().splitlines()]
+        monkeypatch.setattr(executor, "materialize_tensor", original)
+        for case, verdict in zip(cases, verdicts, strict=True):
+            assert verdict["record"] == execute_case(case).to_dict()
+
+    def test_reuse_keeps_records_bit_identical(self, tmp_path, spawned):
+        cases = tiny_cases(
+            kernels=RunnerConfig().kernels, formats=(Format.COO, Format.HICOO),
+            names=("a", "b"),
+        )
+        assert len(cases) == 20
+        report, state = self.run(tmp_path, cases, workers=2)
+        assert sorted(report.completed) == sorted(c.fingerprint for c in cases)
+        for case in cases:
+            line = state.records[case.fingerprint]
+            assert line["record"] == execute_case(case).to_dict(), case.fingerprint
+        assert report.worker_spawns == len(spawned) == 2
+        assert all(w.proc.poll() is not None for w in spawned)
+
+    def test_crash_mid_group_retries_only_that_case(self, tmp_path, spawned):
+        cases = self.group()
+        report, state = self.run(
+            tmp_path, cases, faults={cases[1].fingerprint: {"kill_attempts": 1}}
+        )
+        assert report.crashes == 1 and report.retries == 1
+        attempts = [state.records[c.fingerprint]["attempt"] for c in cases]
+        assert attempts == [0, 1, 0, 0]
+        assert report.worker_spawns == len(spawned) == 2
+        assert spawned[0].proc.returncode == 13
+        assert all(w.proc.poll() is not None for w in spawned)
+
+    def test_hang_mid_group_is_killed_and_the_group_goes_on(
+        self, tmp_path, spawned
+    ):
+        cases = self.group()
+        report, state = self.run(
+            tmp_path, cases, timeout_s=4, retries=0,
+            faults={cases[1].fingerprint: {"hang_attempts": 9, "hang_s": 120}},
+        )
+        assert report.quarantined == [cases[1].fingerprint]
+        assert report.timeouts == 1
+        assert [state.records[c.fingerprint]["attempt"] for c in cases[2:]] == [0, 0]
+        assert cases[0].fingerprint in state.records
+        assert report.worker_spawns == len(spawned) == 2
+        assert spawned[0].proc.returncode == -signal.SIGKILL
+        assert all(w.proc.poll() is not None for w in spawned)
+
+    def test_error_verdict_replaces_the_worker(self, tmp_path, spawned):
+        cases = self.group()
+        report, state = self.run(
+            tmp_path, cases, faults={cases[1].fingerprint: {"fail_attempts": 1}}
+        )
+        assert report.crashes == 0 and report.retries == 1
+        attempts = [state.records[c.fingerprint]["attempt"] for c in cases]
+        assert attempts == [0, 1, 0, 0]
+        assert report.worker_spawns == len(spawned) == 2
+        # The replaced worker was closed by stdin EOF, not killed.
+        assert spawned[0].proc.returncode == 0
+        assert all(w.proc.poll() is not None for w in spawned)
 
 
 class TestObservability:

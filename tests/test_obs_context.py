@@ -11,12 +11,19 @@ to be silently lost.
 
 from __future__ import annotations
 
+import io
 import json
 import threading
 
 import pytest
 
-from repro.bench import ExecutorConfig, RunStore, SuiteExecutor
+from repro.bench import (
+    ExecutorConfig,
+    RunnerConfig,
+    RunStore,
+    SuiteExecutor,
+    enumerate_cases,
+)
 from repro.obs import (
     MetricsRegistry,
     Trace,
@@ -36,8 +43,9 @@ from repro.obs.context import (
     new_trace_id,
 )
 from repro.obs.tracer import CAT_KERNEL, current_tracer, scoped_tracer
+from repro.types import Format, Kernel
 
-from test_executor import tiny_cases
+from test_executor import TINY_SPEC, tiny_cases
 
 
 @pytest.fixture(autouse=True)
@@ -273,18 +281,26 @@ class TestRegistryQuantiles:
 
 
 # ---------------------------------------------------------------------- #
-# Worker verdict telemetry (in-process worker.main)
+# Worker verdict telemetry (the worker's line loop, in process)
 # ---------------------------------------------------------------------- #
 
 
-def run_worker(tmp_path, payload):
+def run_worker(tmp_path, *payloads):
+    """Drive the worker's line loop over in-memory streams."""
     from repro.bench import worker
 
-    case_json = tmp_path / "case.json"
-    verdict_json = tmp_path / "verdict.json"
-    case_json.write_text(json.dumps(payload))
-    assert worker.main([str(case_json), str(verdict_json)]) == 0
-    return json.loads(verdict_json.read_text())
+    out = io.StringIO()
+    lines = io.StringIO("".join(json.dumps(p) + "\n" for p in payloads))
+    # The loop clears its process registry after every verdict.
+    prev = get_metrics()
+    set_metrics(MetricsRegistry())
+    try:
+        assert worker.serve(lines, out) == 0
+    finally:
+        set_metrics(prev)
+    verdicts = [json.loads(line) for line in out.getvalue().splitlines()]
+    assert len(verdicts) == len(payloads)
+    return verdicts[0] if len(verdicts) == 1 else verdicts
 
 
 class TestWorkerVerdictTelemetry:
@@ -311,6 +327,27 @@ class TestWorkerVerdictTelemetry:
         kernel_spans = trace.spans(CAT_KERNEL)
         assert any(s.name.startswith("run.") for s in kernel_spans)
         assert isinstance(verdict["metrics"], dict)
+
+    def test_each_verdict_ships_only_its_attempts_metrics(self, tmp_path, monkeypatch):
+        from repro.bench.runner import SuiteRunner
+
+        original = SuiteRunner.run_kernel
+
+        def counted(self, bundle, kernel, fmt):
+            get_metrics().inc("test.kernel_runs")
+            return original(self, bundle, kernel, fmt)
+
+        monkeypatch.setattr(SuiteRunner, "run_kernel", counted)
+        ctx = TraceContext(trace_id="cafe").to_dict()
+        cases = tiny_cases(kernels=(Kernel.TS, Kernel.TTV))
+        verdicts = run_worker(
+            tmp_path,
+            *({"case": c.to_dict(), "attempt": 0, "trace": ctx} for c in cases),
+        )
+        # A running sum would ship 1, then 2: the parent would count 3.
+        for verdict in verdicts:
+            (series,) = verdict["metrics"]["counters"]["test.kernel_runs"]
+            assert series["value"] == 1.0
 
     def test_env_context_reaches_worker(self, tmp_path, monkeypatch):
         case = tiny_cases()[0]
@@ -387,6 +424,46 @@ class TestSweepTraceFold:
         assert sorted(plain.records) == sorted(traced.records)
         for fp in plain.records:
             assert plain.records[fp]["record"] == traced.records[fp]["record"]
+
+
+    def test_counters_equal_the_case_count(self, tmp_path):
+        # One warm worker runs a four-case group; a worker that shipped
+        # running sums would inflate every absorbed counter.
+        cases = enumerate_cases(
+            {"tiny": TINY_SPEC},
+            RunnerConfig(
+                measure_host=True, repeats=1, warmup=0,
+                kernels=(Kernel.TTV, Kernel.MTTKRP),
+                formats=(Format.COO, Format.HICOO),
+            ),
+        )
+
+        def traced_run(isolation):
+            registry = MetricsRegistry()
+            prev = get_metrics()
+            set_metrics(registry)
+            tracer = Tracer(trace_id=new_trace_id()).install()
+            try:
+                report = SuiteExecutor(
+                    cases, RunStore(tmp_path / f"{isolation}.jsonl"),
+                    ExecutorConfig(isolation=isolation),
+                ).run()
+            finally:
+                tracer.uninstall()
+                set_metrics(prev)
+            assert len(report.completed) == len(cases)
+            return registry.counter_totals(prefix="exec."), tracer.freeze()
+
+        counters, root = traced_run("process")
+        assert counters == {
+            "exec.completed": len(cases), "exec.worker_spawns": 1.0,
+        }
+        assert len(root.children) == len(cases)
+        _, inline_root = traced_run("inline")
+        for name in ("kernel.nnz_processed", "kernel.flops"):
+            want = inline_root.counter_total(name)
+            assert want > 0
+            assert sum(kid.counter_total(name) for kid in root.children) == want
 
 
 class TestAbsorbVerdict:

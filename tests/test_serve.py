@@ -196,6 +196,44 @@ class TestSingleFlight:
                 assert client.request("status")["records"] == 0
 
 
+    def test_over_limit_line_gets_an_error_and_the_connection_survives(
+        self, tmp_path
+    ):
+        from repro.serve import protocol
+
+        with service_thread(tmp_path) as service:
+            with ServeClient(service.config.socket_path) as client:
+                # Twice the limit: the daemon overruns before the newline
+                # arrives, so the rest of the line must still be skipped.
+                client._sock.sendall(b"x" * (2 * protocol.MAX_LINE_BYTES) + b"\n")
+                error = protocol.validate_response(
+                    protocol.decode(client._file.readline())
+                )
+                assert error["kind"] == protocol.KIND_ERROR
+                assert "exceeds" in error["payload"]["error"]
+                # exactly one error: the next valid request succeeds
+                status = client.request("status")
+        assert status["counters"]["serve.errors"] == 1.0
+        assert status["records"] == 0
+
+    def test_result_line_over_64_kib_round_trips_async(self, tmp_path):
+        from repro.serve import protocol
+
+        # 3 tensors x 5 kernels x 2 formats x 4 platforms, ~0.7 KiB a
+        # record: past asyncio's default 64 KiB stream limit.
+        params = dict(
+            SWEEP_PARAMS, tensors=["s1", "s2", "s3"],
+            platforms=["Bluesky", "Wingtip", "DGX-1P", "DGX-1V"],
+        )
+        with service_thread(tmp_path, isolation="process", workers=2) as service:
+            result = asyncio.run(
+                async_request(service.config.socket_path, "sweep", params)
+            )
+        assert result["total"] == len(result["completed"]) == 120
+        line = protocol.encode(protocol.make_response("1", "result", result))
+        assert len(line) > 64 * 1024
+
+
 # ---------------------------------------------------------------------- #
 # cache-hit bit-identity against a cold executor run
 # ---------------------------------------------------------------------- #
