@@ -82,6 +82,11 @@ ISOLATION_MODES = ("process", "inline")
 #: Seconds a closing warm worker gets to exit after stdin EOF.
 CLOSE_GRACE_S = 10.0
 
+#: Exponential retry backoff: ``BACKOFF_BASE_S * 2**attempt`` seconds
+#: before re-attempt ``attempt + 1``, capped at ``BACKOFF_MAX_S``.
+BACKOFF_BASE_S = 0.05
+BACKOFF_MAX_S = 2.0
+
 
 class ExecutorError(RuntimeError):
     """Misconfiguration of the sweep executor (not a case failure)."""
@@ -100,8 +105,6 @@ class ExecutorConfig:
     #: Re-attempts after the first failure (0 = fail straight to
     #: quarantine).
     retries: int = 2
-    backoff_base_s: float = 0.05
-    backoff_max_s: float = 2.0
     #: Skip cases whose fingerprint already has a record in the store.
     resume: bool = False
     #: ``"process"`` runs each case in a warm worker subprocess (timeouts
@@ -115,13 +118,11 @@ class ExecutorConfig:
     #: Concurrent case workers inside this shard.  ``1`` keeps the
     #: historical serial loop; ``> 1`` drives the shard's cases through
     #: the work-stealing pool (:mod:`repro.serve.scheduler`): each worker
-    #: owns a deque and steals from a victim's tail when its own drains,
-    #: so a straggling case never idles the other workers.  Records stay
-    #: bit-identical to the serial run (case seeds derive from
-    #: fingerprints, never from execution order).
+    #: owns a deque and steals from the next non-empty worker's tail
+    #: (ring order) when its own drains, so a straggling case never idles
+    #: the other workers.  Records stay bit-identical to the serial run
+    #: (case seeds derive from fingerprints, never from execution order).
     workers: int = 1
-    #: Seed of the per-worker victim-selection RNGs of the stealing pool.
-    steal_seed: int = 0
 
     def __post_init__(self):
         if self.shards < 1:
@@ -427,8 +428,7 @@ class CaseRunner:
 
     def backoff_s(self, attempt: int) -> float:
         """Exponential backoff before re-attempt ``attempt + 1``."""
-        cfg = self.config
-        return min(cfg.backoff_max_s, cfg.backoff_base_s * (2.0 ** attempt))
+        return min(BACKOFF_MAX_S, BACKOFF_BASE_S * (2.0 ** attempt))
 
     def run_case(
         self, case: SweepCase, store: RunStore, store_lock=None
@@ -716,10 +716,6 @@ class SuiteExecutor:
         report.worker_spawns = self.runner.worker_spawns - spawns
         return report
 
-    def backoff_s(self, attempt: int) -> float:
-        """Exponential backoff before re-attempt ``attempt + 1``."""
-        return self.runner.backoff_s(attempt)
-
     # ------------------------------------------------------------------ #
     def _run_stealing(self, pending: "list[SweepCase]", report: ExecutorReport):
         """Drive the pending cases through the work-stealing pool."""
@@ -735,11 +731,7 @@ class SuiteExecutor:
                 fold_outcome(report, outcome)
             return outcome.completed
 
-        scheduler = StealScheduler(
-            run_case,
-            workers=min(cfg.workers, len(pending)),
-            steal_seed=cfg.steal_seed,
-        )
+        scheduler = StealScheduler(run_case, workers=min(cfg.workers, len(pending)))
         scheduler.start()
         try:
             scheduler.submit(pending).wait()

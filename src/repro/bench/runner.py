@@ -52,7 +52,7 @@ from repro.gpu.kernels import (
 )
 from repro.metrics.perf import PerfRecord, efficiency, gflops
 from repro.metrics.stats import mean_over_modes
-from repro.obs.attribution import attach_to_trace, attribute
+from repro.obs.attribution import attribute
 from repro.obs.tracer import CAT_KERNEL, current_tracer
 from repro.parallel.backend import Backend, get_backend
 from repro.roofline.model import RooflineModel
@@ -160,11 +160,6 @@ class RunnerConfig:
     #: the cache crossovers of Observation 2 land on the same *relative*
     #: tensor sizes.  1.0 = paper-scale tensors.
     cache_scale: float = 1.0
-    #: Record a span trace per (kernel, format) measurement and attach the
-    #: load-imbalance analytics (:func:`repro.obs.analyze`) to
-    #: ``PerfRecord.extra["obs"]``.  Off by default — tracing perturbs the
-    #: host timings it observes.
-    trace: bool = False
 
 
 @dataclass
@@ -386,63 +381,41 @@ class SuiteRunner:
         fmt = Format.coerce(fmt)
         cost = cost_for(bundle.features, kernel, fmt, self.config.rank)
         bound = self.roofline.attainable(cost.oi)
-        tracer = None
-        if self.config.trace:
-            from repro.obs import Tracer
-
-            tracer = Tracer(
-                meta={
-                    "tensor": bundle.name,
-                    "kernel": kernel.value,
-                    "fmt": fmt.value,
-                    "platform": self.platform.name,
-                }
-            ).install()
         # The whole measurement gets one top-level kernel span (named
         # ``run.`` to keep it distinct from real kernel-internal spans),
         # so a trace always carries a CAT_KERNEL event — including on
-        # the modeled path, where no host kernel ever runs.  Reading the
-        # active tracer *after* the optional install means a per-case
-        # config.trace tracer (or a worker's installed request tracer)
-        # records it; disabled, this is the shared null context.
+        # the modeled path, where no host kernel ever runs.  Whatever
+        # tracer is installed (``repro trace``, a worker's request
+        # tracer) records it; disabled, this is the shared null context.
         obs = current_tracer()
-        try:
-            with obs.span(
-                f"run.{kernel.value}",
-                cat=CAT_KERNEL,
-                tensor=bundle.name,
-                fmt=fmt.value,
-                platform=self.platform.name,
-            ):
-                if self.platform.is_gpu:
-                    seconds, host_seconds, extra = self._gpu_time(bundle, kernel, fmt)
-                else:
-                    timing = modeled_cpu_time(
-                        self.platform, kernel, fmt, bundle.features, self.config.rank
-                    )
-                    seconds = timing.total_s
-                    extra = {
-                        "memory_s": timing.memory_s,
-                        "fiber_s": timing.fiber_s,
-                        "atomic_s": timing.atomic_s,
-                        "cache_resident": timing.cache_resident,
-                    }
-                    host_seconds = 0.0
-                    if self.config.measure_host:
-                        host_seconds = self._host_time(bundle, kernel, fmt)
-                        extra.update(self._host_tags(bundle, kernel, fmt))
-        finally:
-            if tracer is not None:
-                tracer.uninstall()
+        with obs.span(
+            f"run.{kernel.value}",
+            cat=CAT_KERNEL,
+            tensor=bundle.name,
+            fmt=fmt.value,
+            platform=self.platform.name,
+        ):
+            if self.platform.is_gpu:
+                seconds, host_seconds, extra = self._gpu_time(bundle, kernel, fmt)
+            else:
+                timing = modeled_cpu_time(
+                    self.platform, kernel, fmt, bundle.features, self.config.rank
+                )
+                seconds = timing.total_s
+                extra = {
+                    "memory_s": timing.memory_s,
+                    "fiber_s": timing.fiber_s,
+                    "atomic_s": timing.atomic_s,
+                    "cache_resident": timing.cache_resident,
+                }
+                host_seconds = 0.0
+                if self.config.measure_host:
+                    host_seconds = self._host_time(bundle, kernel, fmt)
+                    extra.update(self._host_tags(kernel, fmt))
         # Roofline attribution: explain this measurement against its bound
         # (rides in extra["roofline"] and therefore into run-store lines).
         attribution = attribute(self.roofline, cost, seconds, host_seconds)
         extra = dict(extra, roofline=attribution.as_dict())
-        if tracer is not None:
-            from repro.obs import analyze
-
-            trace = attach_to_trace(tracer.freeze(), attribution)
-            extra["obs"] = analyze(trace).as_dict()
         g = gflops(cost.flops, seconds)
         return PerfRecord(
             tensor=bundle.name,
@@ -460,15 +433,14 @@ class SuiteRunner:
         )
 
     # ------------------------------------------------------------------ #
-    def _host_tags(self, bundle: TensorBundle, kernel: Kernel, fmt: Format) -> dict:
+    def _host_tags(self, kernel: Kernel, fmt: Format) -> dict:
         """What :meth:`_host_time` timed: the resolved execution tier, and
         for Mttkrp the (default) update method."""
         method = _TIER_METHOD[kernel]
-        r = self.config.rank if kernel in (Kernel.TTM, Kernel.MTTKRP) else 1
         tags = {
             "tier": resolve_tier(
                 None, backend=self.backend, kernel=kernel.value, fmt=fmt.value,
-                method=method, nnz=bundle.coo.nnz, r=r,
+                method=method,
             )
         }
         if kernel is Kernel.MTTKRP:

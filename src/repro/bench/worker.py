@@ -26,8 +26,7 @@ the :class:`~repro.bench.runner.TensorBundle` of the last tensor it ran
 (one entry, keyed by everything :meth:`TensorBundle.prepare` reads), so
 a tensor-grouped case list materializes each tensor once per worker.
 
-When a trace context rides in (payload ``trace`` key, else the
-``REPRO_TRACE_CONTEXT`` environment variable of the worker), the attempt
+When a trace context rides in (the payload's ``trace`` key), the attempt
 runs under a fresh installed :class:`~repro.obs.tracer.Tracer` carrying
 the request's trace_id, and the verdict additionally ships ``"trace"``
 (the frozen span buffer, :meth:`Trace.to_dict`) and ``"metrics"`` (the
@@ -64,7 +63,7 @@ class BundleCache:
         return self._bundle
 
 
-def run_payload(payload: dict, bundles: BundleCache, env_context=None) -> dict:
+def run_payload(payload: dict, bundles: BundleCache) -> dict:
     """One case payload -> its verdict dict (see the module docstring)."""
     from repro.bench.executor import execute_case, match_fault
     from repro.bench.runner import SweepCase
@@ -84,7 +83,7 @@ def run_payload(payload: dict, bundles: BundleCache, env_context=None) -> dict:
         time.sleep(float(fault.get("hang_s", 3600.0)))
 
     raw_context = payload.get("trace")
-    context = TraceContext.from_dict(raw_context) if raw_context else env_context
+    context = TraceContext.from_dict(raw_context) if raw_context else None
     tracer = previous_context = None
     if context is not None:
         from repro.obs.tracer import Tracer
@@ -131,14 +130,11 @@ def run_payload(payload: dict, bundles: BundleCache, env_context=None) -> dict:
 
 def serve(lines, out) -> int:
     """Answer every case line of ``lines`` with one verdict line on ``out``."""
-    from repro.obs.context import TraceContext
-
-    env_context = TraceContext.from_env(os.environ)
     bundles = BundleCache()
     for line in lines:
         if not line.strip():
             continue
-        verdict = run_payload(json.loads(line), bundles, env_context)
+        verdict = run_payload(json.loads(line), bundles)
         out.write(json.dumps(verdict) + "\n")
         out.flush()
     return 0

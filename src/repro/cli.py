@@ -68,7 +68,7 @@ def _cmd_info(args) -> int:
     print(f"repro {repro.__version__} — parallel sparse tensor benchmark suite")
     print(f"kernels: tew ts ttv ttm mttkrp | formats: coo hicoo ghicoo scoo shicoo csf")
     jit = "numba JIT" if compiled_available() else "fused-NumPy fallback"
-    print(f"compiled tier: {jit} (default tier: {default_tier()})")
+    print(f"default tier: {default_tier()} | tier=\"compiled\" runs: {jit}")
     print()
     for p in PLATFORMS:
         model = RooflineModel(p)
@@ -237,7 +237,6 @@ def _cmd_sweep(args) -> int:
             isolation=args.isolation,
             faults=faults,
             workers=args.workers,
-            steal_seed=args.steal_seed,
         ),
     )
     shard = executor.shard_cases()
@@ -340,7 +339,6 @@ def _cmd_serve(args) -> int:
             socket_path=args.socket,
             store_path=args.store,
             workers=args.workers,
-            steal_seed=args.steal_seed,
             isolation=args.isolation,
             timeout_s=args.timeout,
             retries=args.retries,
@@ -896,8 +894,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_trace.add_argument("--block-size", type=int, default=128)
     p_trace.add_argument(
-        "--tier", default=None, choices=["numpy", "compiled", "auto"],
-        help="execution tier (default: REPRO_COMPILED-gated resolution)",
+        "--tier", default=None, choices=["numpy", "compiled"],
+        help="execution tier (default: numpy)",
     )
     p_trace.add_argument("--repeats", type=int, default=1)
     p_trace.add_argument(
@@ -1028,10 +1026,6 @@ def build_parser() -> argparse.ArgumentParser:
         "work-stealing pool; records stay bit-identical to --workers 1)",
     )
     p_sweep.add_argument(
-        "--steal-seed", type=int, default=0,
-        help="seed of the stealing pool's victim-selection RNGs",
-    )
-    p_sweep.add_argument(
         "--resume", action="store_true",
         help="skip cases already journaled in --store",
     )
@@ -1140,7 +1134,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=2,
         help="work-stealing pool width for cache-miss execution",
     )
-    p_serve.add_argument("--steal-seed", type=int, default=0)
     p_serve.add_argument(
         "--isolation", choices=["process", "inline"], default="inline",
         help="per-case isolation of executed cases (inline default: the "

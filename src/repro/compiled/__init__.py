@@ -22,18 +22,15 @@ from repro.compiled.execute import (
     run_mttkrp,
 )
 from repro.compiled.tier import (
-    ENV_VAR,
     TIERS,
     available,
     compile_stats,
     default_tier,
-    killed,
     resolve_tier,
 )
 
 __all__ = [
     "DESCRIPTORS",
-    "ENV_VAR",
     "LoopNest",
     "TIERS",
     "available",
@@ -41,7 +38,6 @@ __all__ = [
     "default_tier",
     "describe_all",
     "descriptor_for",
-    "killed",
     "resolve_tier",
     "run_elementwise",
     "run_fiber_reduce",

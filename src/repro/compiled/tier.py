@@ -2,25 +2,20 @@
 
 Every kernel call site resolves an execution tier:
 
-* ``"numpy"``    — the chunked NumPy tier (the pre-compiled-tier paths);
+* ``"numpy"``    — the chunked NumPy tier, and the default;
 * ``"compiled"`` — the descriptor-lowered tier: Numba ``@njit`` kernels
   when Numba is importable, else the fused single-dispatch NumPy fallback
-  (bit-compatible for the deterministic methods);
-* ``"auto"``     — pick per call from the tuner's tier-aware static cost
-  model (:func:`repro.tune.recommend_tier`), which charges each tier its
-  dispatch overhead so tiny tensors never pay JIT/plan costs.
+  (bit-compatible for the deterministic methods).
 
-Gating (in precedence order):
+An unspecified (``tier=None``) call site runs the NumPy tier.  An
+explicit ``tier="compiled"`` runs the compiled tier unless
 
-1. ``REPRO_COMPILED=0`` is a hard kill switch — the NumPy tier runs even
-   when a call site explicitly asked for ``"compiled"``.
-2. An explicit ``tier=`` argument wins over the environment default.
-3. ``REPRO_COMPILED=1`` flips the *default* (unspecified) tier from
-   ``"numpy"`` to ``"auto"``.
-4. Backends that replay or perturb chunk decompositions (race-check,
-   chaos) advertise ``supports_compiled = False`` and always get the
-   NumPy tier — their correctness checks need the chunked loops.
-5. Cells without a registered loop-nest descriptor stay on NumPy.
+1. the backend replays or perturbs chunk decompositions (race-check,
+   chaos) and so advertises ``supports_compiled = False`` — its
+   correctness checks need the chunked loops; or
+2. the cell has no registered loop-nest descriptor;
+
+in either case the NumPy tier runs instead.
 
 Numba is an *optional* import: :func:`available` probes it without ever
 raising, so the suite imports cleanly on machines without the
@@ -29,15 +24,10 @@ raising, so the suite imports cleanly on machines without the
 
 from __future__ import annotations
 
-import os
 import threading
 
 #: Valid tier spellings accepted by kernel call sites.
-TIERS = ("numpy", "compiled", "auto")
-
-#: Environment variable gating the compiled tier ("0" kills, "1" enables
-#: auto-by-default; unset leaves the default tier at "numpy").
-ENV_VAR = "REPRO_COMPILED"
+TIERS = ("numpy", "compiled")
 
 _probe_lock = threading.Lock()
 _numba_available: "bool | None" = None
@@ -72,25 +62,9 @@ def available() -> bool:
     return _numba_available
 
 
-def _env_state() -> "str | None":
-    """``"0"`` (killed), ``"1"`` (enabled-by-default), or ``None``."""
-    raw = os.environ.get(ENV_VAR)
-    if raw is None:
-        return None
-    raw = raw.strip()
-    if raw in ("0", "1"):
-        return raw
-    return None  # unknown values behave like unset
-
-
-def killed() -> bool:
-    """``REPRO_COMPILED=0``: the compiled tier may never run."""
-    return _env_state() == "0"
-
-
 def default_tier() -> str:
-    """The tier an unspecified (``tier=None``) call site resolves from."""
-    return "auto" if _env_state() == "1" else "numpy"
+    """The tier an unspecified (``tier=None``) call site resolves to."""
+    return "numpy"
 
 
 def resolve_tier(
@@ -100,15 +74,12 @@ def resolve_tier(
     kernel: str = "",
     fmt: str = "",
     method: str = "",
-    nnz: int = 0,
-    r: int = 1,
 ) -> str:
     """Resolve a call site's tier request to ``"numpy"`` or ``"compiled"``.
 
-    Parameters mirror what the static cost model needs: the suite cell
-    (for descriptor lookup), the entry count and rank (for the auto
-    threshold), and the executing backend (for its compiled-tier
-    capability flag).
+    The suite cell (``kernel``, ``fmt``, ``method``) selects the loop-nest
+    descriptor; the executing backend contributes its compiled-tier
+    capability flag.
     """
     if tier is None:
         tier = default_tier()
@@ -118,21 +89,13 @@ def resolve_tier(
         )
     if tier == "numpy":
         return "numpy"
-    if killed():
-        return "numpy"
     if backend is not None and not getattr(backend, "supports_compiled", True):
         return "numpy"
     from repro.compiled.descriptors import descriptor_for
 
     if descriptor_for(kernel, fmt, method) is None:
         return "numpy"
-    if tier == "compiled":
-        return "compiled"
-    # tier == "auto": tier-aware static cost model (lazy import — the
-    # tuner pulls in the bench cost models, which kernels must not).
-    from repro.tune import recommend_tier
-
-    return recommend_tier(kernel, nnz=nnz, r=r)
+    return "compiled"
 
 
 # ------------------------------------------------------------------ #

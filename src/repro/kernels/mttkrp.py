@@ -236,8 +236,8 @@ def coo_mttkrp(
     tier:
         Execution tier: ``"numpy"`` (the chunked loops above),
         ``"compiled"`` (descriptor-lowered JIT/fused execution, see
-        :mod:`repro.compiled`), or ``"auto"``; ``None`` takes the
-        environment default (:func:`repro.compiled.default_tier`).
+        :mod:`repro.compiled`); ``None`` takes the default
+        (:func:`repro.compiled.default_tier`, the NumPy tier).
 
     Returns the updated dense matrix ``(I_mode, R)``.
     """
@@ -252,7 +252,6 @@ def coo_mttkrp(
         return out
     exec_tier = resolve_tier(
         tier, backend=backend, kernel="mttkrp", fmt="coo", method=method,
-        nnz=x.nnz, r=r,
     )
     tracer = current_tracer()
     if tracer.enabled:
@@ -334,7 +333,6 @@ def hicoo_mttkrp(
         return out
     exec_tier = resolve_tier(
         tier, backend=backend, kernel="mttkrp", fmt="hicoo", method=method,
-        nnz=x.nnz, r=r,
     )
     tracer = current_tracer()
     if tracer.enabled:

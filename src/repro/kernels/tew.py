@@ -54,7 +54,6 @@ def elementwise_values(
     ufunc = _UFUNC[op]
     exec_tier = resolve_tier(
         tier, backend=backend, kernel="tew", fmt=fmt, method="elementwise",
-        nnz=len(out), r=1,
     )
 
     def body(lo: int, hi: int) -> None:

@@ -43,7 +43,6 @@ def scalar_values(
     ufunc = _SCALAR_UFUNC[op]
     exec_tier = resolve_tier(
         tier, backend=backend, kernel="ts", fmt=fmt, method="elementwise",
-        nnz=len(out), r=1,
     )
 
     def body(lo: int, hi: int) -> None:

@@ -68,7 +68,6 @@ def fiber_reduce(
     ncols = int(np.prod(contrib.shape[1:], dtype=np.int64)) if contrib.ndim > 1 else 1
     exec_tier = resolve_tier(
         tier, backend=backend, kernel=kernel, fmt=fmt, method="fiber",
-        nnz=nnz, r=ncols,
     )
     tracer = current_tracer()
 

@@ -24,7 +24,6 @@ from repro.obs.attribution import (
     effective_bandwidth_gbs,
 )
 from repro.obs.context import (
-    TRACE_ENV,
     ContextError,
     TraceContext,
     activate_context,
@@ -83,7 +82,6 @@ __all__ = [
     "CAT_SCHED",
     "TraceContext",
     "ContextError",
-    "TRACE_ENV",
     "new_trace_id",
     "derive_span_id",
     "current_context",

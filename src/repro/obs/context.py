@@ -15,28 +15,21 @@ correlation envelope that stitches them back together:
 * ``baggage`` — small, propagated key/value annotations.
 
 Contexts cross process boundaries as plain dicts (the serve protocol's
-optional ``trace`` request field, the worker case-payload JSON) or via
-the :data:`TRACE_ENV` environment variable; inside a process they are
-held thread-locally (:func:`activate_context`) over a process-global
-default (:func:`install_context`), mirroring how the tracer itself is
-scoped.  Everything here is inert unless something installs a context:
-with no context and a disabled tracer the serving stack behaves
-byte-identically to an untraced run.
+optional ``trace`` request field, the worker case-payload JSON); inside
+a process they are held thread-locally (:func:`activate_context`) over
+a process-global default (:func:`install_context`), mirroring how the
+tracer itself is scoped.  Everything here is inert unless something
+installs a context: with no context and a disabled tracer the serving
+stack behaves byte-identically to an untraced run.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
-import json
 import os
 import threading
 from dataclasses import dataclass, field
-
-#: Environment variable carrying a serialized context into subprocesses
-#: (the worker payload JSON is the primary channel; the env var lets any
-#: externally spawned process join a trace).
-TRACE_ENV = "REPRO_TRACE_CONTEXT"
 
 
 def new_trace_id() -> str:
@@ -119,26 +112,6 @@ class TraceContext:
             parent_span=d.get("parent_span", ""),
             baggage=d.get("baggage") or (),
         )
-
-    def to_env(self) -> str:
-        """The :data:`TRACE_ENV` value injecting this context into a
-        subprocess environment."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_env(cls, environ=None) -> "TraceContext | None":
-        """The context carried by :data:`TRACE_ENV`, or ``None``.
-
-        A malformed value is treated as absent rather than raised — a
-        worker must never fail a case because of a bad tracing envelope.
-        """
-        raw = (environ if environ is not None else os.environ).get(TRACE_ENV)
-        if not raw:
-            return None
-        try:
-            return cls.from_dict(json.loads(raw))
-        except (ValueError, TypeError):
-            return None
 
 
 # --------------------------------------------------------------------- #

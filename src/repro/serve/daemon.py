@@ -58,7 +58,6 @@ class ServeConfig:
     store_path: str = "results/serve.jsonl"
     #: Work-stealing pool width.
     workers: int = 2
-    steal_seed: int = 0
     #: ``"inline"`` (default: the daemon is long-lived and cases are
     #: trusted) or ``"process"``: each pool thread runs its cases in a
     #: warm worker subprocess, closed at daemon shutdown.
@@ -84,7 +83,6 @@ class ServeConfig:
             isolation=self.isolation,
             faults=dict(self.faults),
             workers=self.workers,
-            steal_seed=self.steal_seed,
         )
 
 
@@ -129,11 +127,7 @@ class BenchService:
         self.cache = ResultCache(self.store)  # raises on a stale store
         self.runner = CaseRunner(config.executor_config())
         self._store_lock = threading.Lock()
-        self.scheduler = StealScheduler(
-            self._execute_case,
-            workers=config.workers,
-            steal_seed=config.steal_seed,
-        )
+        self.scheduler = StealScheduler(self._execute_case, workers=config.workers)
         self.metrics = get_metrics()
         self._stop = None  # asyncio.Event, created inside run()
         self._loop = None

@@ -252,11 +252,11 @@ def encode(obj: dict) -> bytes:
 
 def decode(line: "bytes | str") -> dict:
     """Parse one wire line into a dict (schema NOT yet validated)."""
-    if isinstance(line, bytes):
-        line = line.decode("utf-8")
     try:
+        if isinstance(line, bytes):
+            line = line.decode("utf-8")
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"undecodable wire line: {exc}") from None
     if not isinstance(obj, dict):
         raise ProtocolError(

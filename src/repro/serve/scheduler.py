@@ -4,11 +4,11 @@ The statically sharded executor (``index % shards``) balances *counts*,
 not *costs*: one straggling case idles its whole shard while the others
 finish.  This scheduler replaces static assignment inside a process —
 each worker thread owns a deque of cases, drains its own from the head
-(FIFO), and when it runs dry steals from a randomly chosen victim's
-**tail** (the classic Chase-Lev discipline: owners and thieves touch
-opposite ends, so a steal grabs the work the owner would reach last).
-Victim selection is seeded per worker via
-:func:`repro.bench.runner.derive_case_seed`, keeping runs reproducible.
+(FIFO), and when it runs dry steals from a victim's **tail** (the
+classic Chase-Lev discipline: owners and thieves touch opposite ends, so
+a steal grabs the work the owner would reach last).  Worker ``wid``
+scans victims in the fixed ring order ``wid+1, wid+2, ...`` and robs
+the first non-empty deque.
 
 Results stay bit-identical to a serial run regardless of which worker
 executes a case: case seeds derive from fingerprints, never from
@@ -26,13 +26,11 @@ case completes between a caller's cache probe and its submission.
 
 from __future__ import annotations
 
-import random
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.bench.runner import derive_case_seed
 from repro.obs.registry import get_metrics
 
 
@@ -119,12 +117,11 @@ class StealScheduler:
     ``run_case`` runs on pool threads — it must be thread-safe.
     """
 
-    def __init__(self, run_case, workers: int = 2, steal_seed: int = 0):
+    def __init__(self, run_case, workers: int = 2):
         if workers < 1:
             raise SchedulerError(f"workers must be >= 1 (got {workers})")
         self._run_case = run_case
         self.workers = int(workers)
-        self.steal_seed = int(steal_seed)
         self._cond = threading.Condition()
         self._deques = [deque() for _ in range(self.workers)]
         #: fingerprint -> in-flight entry (queued or executing).
@@ -149,10 +146,9 @@ class StealScheduler:
             raise SchedulerError("scheduler already started")
         self._started = True
         for wid in range(self.workers):
-            rng = random.Random(derive_case_seed(self.steal_seed, "steal", wid))
             t = threading.Thread(
                 target=self._worker,
-                args=(wid, rng),
+                args=(wid,),
                 name=f"steal-worker-{wid}",
                 daemon=True,
             )
@@ -227,33 +223,32 @@ class StealScheduler:
         self._threads = []
 
     # ------------------------------------------------------------------ #
-    def _take(self, wid: int, rng: random.Random) -> "_LiveCase | None":
-        """Next entry for worker ``wid``: own head, else a victim's tail.
+    def _take(self, wid: int) -> "_LiveCase | None":
+        """Next entry for worker ``wid``: own head, else the tail of the
+        first non-empty victim in ring order ``wid+1, wid+2, ...``.
 
         Caller holds the lock.
         """
         own = self._deques[wid]
         if own:
             return own.popleft()
-        victims = [
-            i for i in range(self.workers) if i != wid and self._deques[i]
-        ]
-        if not victims:
-            return None
-        rng.shuffle(victims)
-        self.steals += 1
-        get_metrics().inc("serve.steals", worker=wid)
-        return self._deques[victims[0]].pop()
+        for step in range(1, self.workers):
+            victim = self._deques[(wid + step) % self.workers]
+            if victim:
+                self.steals += 1
+                get_metrics().inc("serve.steals", worker=wid)
+                return victim.pop()
+        return None
 
-    def _worker(self, wid: int, rng: random.Random) -> None:
+    def _worker(self, wid: int) -> None:
         while True:
             with self._cond:
-                entry = self._take(wid, rng)
+                entry = self._take(wid)
                 while entry is None:
                     if self._stop:
                         return
                     self._cond.wait()
-                    entry = self._take(wid, rng)
+                    entry = self._take(wid)
             ok, error = False, None
             try:
                 ok = bool(self._run_case(entry.case))

@@ -55,8 +55,7 @@ class TestRunner:
             assert r.host_seconds > 0  # host measurement enabled
             assert r.seconds > 0
 
-    def test_host_timed_records_say_what_was_timed(self, tensor, monkeypatch):
-        monkeypatch.delenv("REPRO_COMPILED", raising=False)
+    def test_host_timed_records_say_what_was_timed(self, tensor):
         cfg = RunnerConfig(
             repeats=1, warmup=0, kernels=(Kernel.MTTKRP, Kernel.TTV),
             formats=(Format.COO,),

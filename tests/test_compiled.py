@@ -19,14 +19,12 @@ import pytest
 
 from repro.compiled import (
     DESCRIPTORS,
-    ENV_VAR,
     TIERS,
     available,
     compile_stats,
     default_tier,
     describe_all,
     descriptor_for,
-    killed,
     resolve_tier,
 )
 from repro.compiled.plans import cached_plan, scatter_plan
@@ -44,7 +42,6 @@ from repro.kernels import (
 )
 from repro.parallel import ChaosBackend, OpenMPBackend, RaceCheckBackend
 from repro.sptensor import COOTensor, HiCOOTensor
-from repro.tune import TIER_DISPATCH_S, recommend_tier
 from tests.conftest import random_mats
 
 RANK = 5
@@ -89,28 +86,20 @@ class TestDescriptors:
 # Tier resolution and gating
 # ------------------------------------------------------------------ #
 class TestTierResolution:
-    def test_default_tier_is_numpy_when_env_unset(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
+    def test_default_tier_is_numpy_when_env_unset(self):
         assert default_tier() == "numpy"
-        assert not killed()
-        assert resolve_tier(None, kernel="mttkrp", fmt="coo",
-                            method="atomic") == "numpy"
-
-    def test_env_1_flips_default_to_auto(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "1")
-        assert default_tier() == "auto"
-
-    def test_env_0_kills_even_explicit_requests(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "0")
-        assert killed()
-        assert resolve_tier("compiled", kernel="mttkrp", fmt="coo",
-                            method="atomic") == "numpy"
+        for kernel, fmt, method in DESCRIPTORS:
+            assert resolve_tier(None, kernel=kernel, fmt=fmt,
+                                method=method) == "numpy"
+            assert resolve_tier("compiled", kernel=kernel, fmt=fmt,
+                                method=method) == "compiled"
 
     def test_unknown_tier_rejected(self):
-        with pytest.raises(ValueError, match="unknown execution tier"):
-            resolve_tier("fortran", kernel="mttkrp", fmt="coo",
-                         method="atomic")
-        assert set(TIERS) == {"numpy", "compiled", "auto"}
+        for tier in ("fortran", "auto"):
+            with pytest.raises(ValueError, match="unknown execution tier"):
+                resolve_tier(tier, kernel="mttkrp", fmt="coo",
+                             method="atomic")
+        assert TIERS == ("numpy", "compiled")
 
     def test_cells_without_descriptor_stay_numpy(self):
         assert resolve_tier("compiled", kernel="mttkrp", fmt="csf",
@@ -126,27 +115,6 @@ class TestTierResolution:
 
     def test_available_probe_never_raises(self):
         assert available() in (True, False)
-
-
-class TestAutoThreshold:
-    def test_tiny_tensors_stay_numpy(self):
-        assert recommend_tier("mttkrp", nnz=10, r=4) == "numpy"
-
-    def test_large_tensors_go_compiled(self):
-        assert recommend_tier("mttkrp", nnz=1_000_000, r=16) == "compiled"
-
-    def test_dispatch_overhead_orders(self):
-        # The compiled tier charges more dispatch overhead (plan-cache
-        # lookup + JIT dispatch), which is what protects tiny tensors.
-        assert TIER_DISPATCH_S["compiled"] > TIER_DISPATCH_S["numpy"]
-
-    def test_auto_resolves_through_resolve_tier(self):
-        small = resolve_tier("auto", kernel="mttkrp", fmt="coo",
-                             method="atomic", nnz=10, r=4)
-        big = resolve_tier("auto", kernel="mttkrp", fmt="coo",
-                           method="atomic", nnz=1_000_000, r=16)
-        assert small == "numpy"
-        assert big == "compiled"
 
 
 # ------------------------------------------------------------------ #

@@ -30,9 +30,12 @@ from repro.bench import (
     merge_stores,
 )
 from repro.bench.executor import (
+    BACKOFF_BASE_S,
+    BACKOFF_MAX_S,
     FAIL_CRASH,
     FAIL_ERROR,
     FAIL_TIMEOUT,
+    CaseRunner,
     ExecutorError,
     match_fault,
 )
@@ -186,13 +189,10 @@ class TestRetryAndQuarantine:
             pytest.approx(0.05), pytest.approx(0.1)
         ]
 
-    def test_backoff_is_exponential_and_capped(self, tmp_path):
-        ex = inline(
-            RunStore(tmp_path / "r.jsonl"), tiny_cases(),
-            retries=8, backoff_base_s=0.05, backoff_max_s=0.4,
-        )
-        delays = [ex.backoff_s(a) for a in range(6)]
-        assert delays == [0.05, 0.1, 0.2, 0.4, 0.4, 0.4]
+    def test_backoff_is_exponential_and_capped(self):
+        delays = [CaseRunner().backoff_s(a) for a in range(8)]
+        assert BACKOFF_BASE_S == 0.05 and BACKOFF_MAX_S == 2.0
+        assert delays == [0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 2.0, 2.0]
 
     def test_permanent_failure_quarantines_without_aborting(self, tmp_path):
         cases = tiny_cases(names=("bad", "good"))

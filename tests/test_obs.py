@@ -345,27 +345,6 @@ class TestKernelIntegration:
         assert trace.counter_total("gpu.atomics_issued") > 0
 
 
-class TestRunnerTrace:
-    def test_runner_attaches_obs_analytics(self):
-        from repro.bench.runner import RunnerConfig, SuiteRunner
-        from repro.generate import powerlaw_tensor
-        from repro.roofline import PLATFORMS
-        from repro.types import Format, Kernel
-
-        cpu = next(p for p in PLATFORMS if not p.is_gpu)
-        cfg = RunnerConfig(
-            trace=True, repeats=1, warmup=0,
-            kernels=(Kernel.TTV,), formats=(Format.COO,),
-        )
-        x = powerlaw_tensor((60, 50, 8), nnz=1000, seed=3)
-        (rec,) = SuiteRunner(cpu, cfg).run_tensor("t", x)
-        obs = rec.extra["obs"]
-        assert obs["imbalance"] >= 1.0
-        assert 0.0 <= obs["busy_frac"] <= 1.0
-        assert obs["counters"]["kernel.nnz_processed"] > 0
-        assert current_tracer() is NULL_TRACER
-
-
 class TestGaugeRollup:
     def test_tracer_tracks_gauge_peaks(self):
         tracer = Tracer()

@@ -1,6 +1,6 @@
 """Tests for distributed trace-context propagation (repro.obs.context).
 
-Covers the context dataclass and its wire/env round-trips, thread-local
+Covers the context dataclass and its wire round-trips, thread-local
 vs process-global scoping for both contexts and tracers, the Trace
 serialization that carries worker-subprocess spans home in verdicts,
 multi-process trace merging, registry absorption, and the end-to-end
@@ -33,7 +33,6 @@ from repro.obs import (
     set_metrics,
 )
 from repro.obs.context import (
-    TRACE_ENV,
     ContextError,
     TraceContext,
     activate_context,
@@ -70,16 +69,6 @@ class TestTraceContext:
         assert back.trace_id == "cafe"
         assert back.parent_span == "beef"
         assert dict(back.baggage) == {"op": "sweep"}
-
-    def test_round_trips_through_env(self):
-        ctx = TraceContext(trace_id="cafe", baggage={"k": "v"})
-        env = {TRACE_ENV: ctx.to_env()}
-        assert TraceContext.from_env(env) == ctx
-
-    def test_from_env_is_none_on_missing_or_garbage(self):
-        assert TraceContext.from_env({}) is None
-        assert TraceContext.from_env({TRACE_ENV: "not json"}) is None
-        assert TraceContext.from_env({TRACE_ENV: '{"trace_id": ""}'}) is None
 
     def test_empty_trace_id_rejected(self):
         with pytest.raises(ContextError):
@@ -304,8 +293,7 @@ def run_worker(tmp_path, *payloads):
 
 
 class TestWorkerVerdictTelemetry:
-    def test_untraced_verdict_is_unchanged(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(TRACE_ENV, raising=False)
+    def test_untraced_verdict_is_unchanged(self, tmp_path):
         case = tiny_cases()[0]
         verdict = run_worker(tmp_path, {"case": case.to_dict(), "attempt": 0})
         assert verdict["ok"] is True
@@ -348,13 +336,6 @@ class TestWorkerVerdictTelemetry:
         for verdict in verdicts:
             (series,) = verdict["metrics"]["counters"]["test.kernel_runs"]
             assert series["value"] == 1.0
-
-    def test_env_context_reaches_worker(self, tmp_path, monkeypatch):
-        case = tiny_cases()[0]
-        ctx = TraceContext(trace_id="feed")
-        monkeypatch.setenv(TRACE_ENV, ctx.to_env())
-        verdict = run_worker(tmp_path, {"case": case.to_dict(), "attempt": 0})
-        assert verdict["trace"]["meta"]["trace_id"] == "feed"
 
 
 # ---------------------------------------------------------------------- #

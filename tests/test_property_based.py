@@ -379,7 +379,6 @@ class TestStealSchedulerEquivalence:
         import tempfile
 
         from repro.bench import ExecutorConfig, RunStore, SuiteExecutor
-        from repro.bench.runner import derive_case_seed
 
         pool = self.case_pool()
         picks = data.draw(
@@ -390,9 +389,10 @@ class TestStealSchedulerEquivalence:
         )
         cases = [pool[i] for i in picks]
         workers = data.draw(st.integers(2, 4))
-        steal_seed = derive_case_seed(
-            data.draw(st.integers(0, 1000)), "property", workers
-        )
+        # One drawn case straggles in the pooled run, so the others
+        # migrate between workers around it.
+        straggler = data.draw(st.sampled_from(cases)).fingerprint
+        delay_s = data.draw(st.sampled_from([0.0, 0.01, 0.05]))
 
         with tempfile.TemporaryDirectory(prefix="steal-prop-") as tmp:
             serial = RunStore(f"{tmp}/serial.jsonl")
@@ -404,7 +404,8 @@ class TestStealSchedulerEquivalence:
             report = SuiteExecutor(
                 cases, pooled,
                 ExecutorConfig(
-                    isolation="inline", workers=workers, steal_seed=steal_seed,
+                    isolation="inline", workers=workers,
+                    faults={straggler: {"delay_s": delay_s}},
                 ),
                 sleep=lambda s: None,
             ).run()

@@ -216,6 +216,27 @@ class TestSingleFlight:
         assert status["counters"]["serve.errors"] == 1.0
         assert status["records"] == 0
 
+    def test_non_utf8_line_gets_an_error_and_the_connection_survives(
+        self, tmp_path
+    ):
+        from repro.serve import protocol
+
+        with service_thread(tmp_path) as service:
+            with ServeClient(service.config.socket_path) as client:
+                client._sock.sendall(b"\xff\xfe\n")
+                error = protocol.validate_response(
+                    protocol.decode(client._file.readline())
+                )
+                assert error["kind"] == protocol.KIND_ERROR
+                assert error["id"] == "?"
+                # the connection survives the error for the next request
+                status = client.request("status")
+            assert service.metrics.counter_value(
+                "serve.errors", op="protocol"
+            ) == 1.0
+        assert status["counters"]["serve.errors"] == 1.0
+        assert status["records"] == 0
+
     def test_result_line_over_64_kib_round_trips_async(self, tmp_path):
         from repro.serve import protocol
 
@@ -320,7 +341,7 @@ class TestWorkStealing:
                 executed.append(case.fingerprint)
             return True
 
-        scheduler = StealScheduler(run_case, workers=2, steal_seed=0).start()
+        scheduler = StealScheduler(run_case, workers=2).start()
         try:
             ticket = scheduler.submit(cases)
             assert ticket.wait(timeout=30)
@@ -350,7 +371,7 @@ class TestWorkStealing:
 
         # workers=2: hog->w0, a->w1, b->w0, c->w1, d->w0, e->w1
         cases = [FakeCase("hog")] + [FakeCase(x) for x in "abcde"]
-        scheduler = StealScheduler(run_case, workers=2, steal_seed=0).start()
+        scheduler = StealScheduler(run_case, workers=2).start()
         try:
             ticket = scheduler.submit(cases)
             # let w1 drain its own (a, c, e) and steal w0's tail (d, then b)
